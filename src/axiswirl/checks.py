@@ -29,14 +29,13 @@ class InvariantConfig:
     energy_tol: float = 1e-8  # relative per step
     max_principle_tol: float = 1e-6  # relative per step
     divergence_factor: float = 10.0
-    projection_tol: float = 1e-10
     scaling_lambda: float = 2.0
     mu: float = 1.0
 
     def __post_init__(self):
         if self.h0 <= 0:
             raise ValueError("h0 must be positive")
-        for name in ("energy_tol", "max_principle_tol", "projection_tol"):
+        for name in ("energy_tol", "max_principle_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -177,13 +176,14 @@ def check_scaling_covariance(history: SnapshotHistory, lam: float = 2.0,
     }
 
 
-def run_invariant_suite(history: SnapshotHistory, n0: float,
-                        config: InvariantConfig) -> list[dict]:
+def run_invariant_suite(history: SnapshotHistory, n0: float, config: InvariantConfig,
+                        projection_tol: float = 1e-10) -> list[dict]:
+    """Every check on ``history``; ``projection_tol`` is the solver's tolerance."""
     reports = [
         check_max_principle(history, n0, config.max_principle_tol),
         check_short_time_bound(history, n0, config.h0),
         check_energy(history, config.energy_tol),
-        check_divergence(history, config.projection_tol, config.divergence_factor),
+        check_divergence(history, projection_tol, config.divergence_factor),
     ]
     if len(history) >= 3:
         reports.append(check_scaling_covariance(history, config.scaling_lambda, config.mu))

@@ -131,7 +131,8 @@ def run_validate(cfg: RunConfig) -> int:
     history = SnapshotHistory(capacity=cfg.output.history_capacity)
     solver = AxisymSolver(initial, cfg.solver, history=history)
     solver.run(cfg.solver.t_end)
-    reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants)
+    reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants,
+                                  cfg.solver.projection_tol)
     for rep in reports:
         print(f"{rep['name']}: measured={rep['measured']:.6g} bound={rep['bound']:.6g} "
               f"margin={rep['margin']:.3g} {'PASS' if rep['pass'] else 'FAIL'}")

@@ -13,7 +13,6 @@ from typing import Iterator
 import numpy as np
 
 SNAPSHOT_MAGIC = b"AXNS"
-CUBE_MAGIC = b"CUBE"
 SNAPSHOT_VERSION = 1
 
 

@@ -232,33 +232,82 @@ def swirl_smallness(sample: CubeSample) -> float:
     return float(sw.max())
 
 
-def _pairwise_holder(points: np.ndarray, values: np.ndarray, alpha: float,
-                     chunk: int = 256) -> float:
-    """max over pairs of |values(a)-values(b)| / d_P(a,b)^alpha.
+def _sum_leading(terms: np.ndarray) -> np.ndarray:
+    """Sum over the leading axis, in the order np.add.reduce sums a contiguous axis.
 
-    ``points`` is (m, 4) with columns (x1, x2, x3, t); d_P is the parabolic
-    distance max(|dx|, sqrt(|dt|)).
+    numpy adds fewer than 8 terms in sequence; up to its block size of 128 it
+    keeps 8 interleaved partial sums, combines them pairwise and then adds the
+    remainder in sequence.  Following that order makes the result equal, bit
+    for bit, to a norm taken over a component-last layout.  ``terms`` is
+    overwritten.
     """
-    m = len(points)
-    if m < 2:
-        return 0.0
+    n = len(terms)
+    if n < 8:
+        out = terms[0]
+        for k in range(1, n):
+            out += terms[k]
+        return out
+    r = terms[:8]
+    for k in range(8, n - n % 8, 8):
+        r += terms[k:k + 8]
+    r[0::2] += r[1::2]
+    r[0::4] += r[2::4]
+    out = r[0]
+    out += r[4]
+    for k in range(n - n % 8, n):
+        out += terms[k]
+    return out
+
+
+def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
+                    valid: np.ndarray, alpha: float) -> float:
+    """max over pairs of valid samples of |values(a)-values(b)| / d_P(a,b)^alpha.
+
+    The samples sit on the lattice (ts[l], xs[i], xs[j], xs[k]): ``values`` is
+    (nt, n, n, n, C) and ``valid`` is (nt, n, n, n).  d_P is the parabolic
+    distance max(|dx|, sqrt(|dt|)); pairs closer than 1e-12 are skipped.
+
+    The pairs are taken per (t, x1) offset, over one half of the offsets
+    (the quotient is symmetric), with all pairs of the (x2, x3) plane at once.
+    Each pair goes through the same floating-point operations as a direct
+    evaluation of the two norms: the spatial distance is formed per pair,
+    because xs[i + o] - xs[i] varies in the last ulp with i.
+    """
+    nt, n = valid.shape[:2]
+    plane = n * n
+    vals = np.ascontiguousarray(np.moveaxis(values.reshape(nt, n, plane, -1), -1, 0))
+    ok = valid.reshape(nt, n, plane)
+    x2, x3 = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
+    dx2 = x2[:, None] - x2[None, :]
+    dx3 = x3[:, None] - x3[None, :]
+    sq2, sq3 = dx2 * dx2, dx3 * dx3
     best = 0.0
-    for lo in range(0, m, chunk):
-        hi = min(lo + chunk, m)
-        dx = points[lo:hi, None, :3] - points[None, :, :3]
-        dt = points[lo:hi, None, 3] - points[None, :, 3]
-        d = np.maximum(np.linalg.norm(dx, axis=-1), np.sqrt(np.abs(dt)))
-        dv = np.linalg.norm(values[lo:hi, None, :] - values[None, :, :], axis=-1)
-        mask = d > 1e-12
-        if mask.any():
-            best = max(best, float((dv[mask] / d[mask] ** alpha).max()))
+    for di in range(1 - n, n):
+        ia = slice(max(0, -di), n - max(0, di))
+        ib = slice(ia.start + di, ia.stop + di)
+        dx1 = xs[ia] - xs[ib]
+        space = np.sqrt(((dx1 * dx1)[:, None, None] + sq2) + sq3)
+        for dl in range(0 if di >= 0 else 1, nt):
+            dt = ts[:nt - dl] - ts[dl:]
+            d = np.maximum(space, np.sqrt(np.abs(dt))[:, None, None, None])
+            mask = ok[:nt - dl, ia, :, None] & ok[dl:, ib, None, :] & (d > 1e-12)
+            if not mask.any():
+                continue
+            diff = vals[:, :nt - dl, ia, :, None] - vals[:, dl:, ib, None, :]
+            dv = np.sqrt(_sum_leading(np.multiply(diff, diff, out=diff)))
+            q = np.divide(dv, d ** alpha, out=np.zeros_like(dv), where=mask)
+            best = max(best, float(q.max()))
     return best
+
+
+def _interior(a: np.ndarray, o1: int = 0, o2: int = 0, o3: int = 0) -> np.ndarray:
+    """Spatial interior of ``a`` (axes 1-3) shifted by (o1, o2, o3) lattice steps."""
+    n = a.shape[1]
+    return a[:, 1 + o1:n - 1 + o1, 1 + o2:n - 1 + o2, 1 + o3:n - 1 + o3]
 
 
 def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> ClosenessReport:
     """Discrete parabolic closeness of the cube samples to the center constant."""
-    n = len(sample.xs)
-    nt = len(sample.ts)
     n_valid_axis = sample.valid.any(axis=(0, 2, 3)).sum()
     n_valid_t = sample.valid.any(axis=(1, 2, 3)).sum()
     if n_valid_axis < 5 or n_valid_t < 3:
@@ -277,41 +326,40 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
     dist = np.linalg.norm(v - c_star, axis=-1)
     sup_dist = float(dist[valid].max())
 
-    # first spatial derivatives (centered, interior of each spatial axis)
-    inner = (slice(None), slice(1, -1), slice(1, -1), slice(1, -1))
+    # centred stencils on the spatial interior; a stencil value counts only
+    # where every sample it reads is valid
+    e = np.eye(3, dtype=int)
+    centre = [np.zeros(3, dtype=int)]
+    faces = [sign * e[a] for a in range(3) for sign in (1, -1)]
+    diagonals = [sa * e[a] + sb * e[b] for a, b in ((0, 1), (0, 2), (1, 2))
+                 for sa in (1, -1) for sb in (1, -1)]
+
+    def all_valid(offsets):
+        return np.logical_and.reduce([_interior(valid, *o) for o in offsets])
+
+    # first spatial derivatives
     d1 = np.stack(
-        [(np.roll(v, -1, ax) - np.roll(v, 1, ax))[inner] / (2 * hx) for ax in (1, 2, 3)],
+        [(_interior(v, *e[a]) - _interior(v, *-e[a])) / (2 * hx) for a in range(3)],
         axis=-1,
     )  # (nt, n-2, n-2, n-2, 3comp, 3dir)
-    d1_valid = np.ones(valid.shape, bool)
-    for ax in (1, 2, 3):
-        d1_valid &= np.roll(valid, -1, ax) & np.roll(valid, 1, ax)
-    d1_valid = d1_valid[inner] & valid[inner]
+    d1_valid = all_valid(centre + faces)
     grad_sup = 0.0
     if d1_valid.any():
         grad_sup = float(np.sqrt((d1**2).sum(axis=(-2, -1)))[d1_valid].max())
 
     # second derivatives: 3 pure + 3 mixed per component
-    second = []
-    for ax in (1, 2, 3):
-        second.append((np.roll(v, -1, ax) - 2 * v + np.roll(v, 1, ax))[inner] / hx**2)
-    for ax_a, ax_b in ((1, 2), (1, 3), (2, 3)):
+    second = [(_interior(v, *e[a]) - 2 * _interior(v) + _interior(v, *-e[a])) / hx**2
+              for a in range(3)]
+    for a, b in ((0, 1), (0, 2), (1, 2)):
         cross = (
-            np.roll(np.roll(v, -1, ax_a), -1, ax_b)
-            - np.roll(np.roll(v, -1, ax_a), 1, ax_b)
-            - np.roll(np.roll(v, 1, ax_a), -1, ax_b)
-            + np.roll(np.roll(v, 1, ax_a), 1, ax_b)
-        )[inner] / (4 * hx**2)
+            _interior(v, *(e[a] + e[b]))
+            - _interior(v, *(e[a] - e[b]))
+            - _interior(v, *(e[b] - e[a]))
+            + _interior(v, *(-e[a] - e[b]))
+        ) / (4 * hx**2)
         second.append(cross)
     d2 = np.stack(second, axis=-1)  # (nt, n-2, n-2, n-2, 3comp, 6)
-    d2_valid = valid.copy()
-    for ax in (1, 2, 3):
-        d2_valid &= np.roll(valid, -1, ax) & np.roll(valid, 1, ax)
-    for ax_a, ax_b in ((1, 2), (1, 3), (2, 3)):
-        for sa in (-1, 1):
-            for sb in (-1, 1):
-                d2_valid &= np.roll(np.roll(valid, sa, ax_a), sb, ax_b)
-    d2_valid = d2_valid[inner]
+    d2_valid = all_valid(centre + faces + diagonals)
     hess_sup = 0.0
     if d2_valid.any():
         hess_sup = float(np.sqrt((d2**2).sum(axis=(-2, -1)))[d2_valid].max())
@@ -324,28 +372,10 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
         dt_sup = float(np.linalg.norm(dt1, axis=-1)[dt1_valid].max())
 
     # parabolic Holder quotients of D2 and of the time derivative
-    X1, X2, X3 = np.meshgrid(sample.xs[1:-1], sample.xs[1:-1], sample.xs[1:-1], indexing="ij")
-    inner_space = np.stack([X1, X2, X3], axis=-1)  # (n-2, n-2, n-2, 3)
-    holder = 0.0
-    if d2_valid.any():
-        space4 = np.broadcast_to(inner_space, (nt,) + inner_space.shape)[d2_valid]
-        time4 = np.broadcast_to(
-            sample.ts[:, None, None, None, None], (nt, n - 2, n - 2, n - 2, 1)
-        )[d2_valid]
-        pts4 = np.concatenate([space4, time4], axis=-1)
-        vals = d2[d2_valid].reshape(len(pts4), -1)
-        holder = _pairwise_holder(pts4, vals, config.holder_alpha)
-    if dt1_valid.any():
-        full_space = np.stack(
-            np.meshgrid(sample.xs, sample.xs, sample.xs, indexing="ij"), axis=-1
-        )
-        space4 = np.broadcast_to(full_space, (nt - 2,) + full_space.shape)[dt1_valid]
-        time4 = np.broadcast_to(
-            sample.ts[1:-1, None, None, None, None], (nt - 2, n, n, n, 1)
-        )[dt1_valid]
-        pts4 = np.concatenate([space4, time4], axis=-1)
-        vals = dt1[dt1_valid].reshape(len(pts4), -1)
-        holder = max(holder, _pairwise_holder(pts4, vals, config.holder_alpha))
+    holder = max(
+        _lattice_holder(sample.ts, sample.xs[1:-1], d2, d2_valid, config.holder_alpha),
+        _lattice_holder(sample.ts[1:-1], sample.xs, dt1, dt1_valid, config.holder_alpha),
+    )
 
     return ClosenessReport(
         c_star=c_star,

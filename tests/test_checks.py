@@ -41,8 +41,6 @@ def test_invariant_config_validation():
         InvariantConfig(h0=0.0)
     with pytest.raises(ValueError, match="energy_tol"):
         InvariantConfig(energy_tol=-1.0)
-    with pytest.raises(ValueError, match="projection_tol"):
-        InvariantConfig(projection_tol=0.0)
 
 
 def test_max_rvtheta_rigid_rotation(grid16):

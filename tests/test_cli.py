@@ -181,3 +181,19 @@ def test_validate_exits_zero_on_good_config(tmp_path, capsys):
     assert "n0_bounds" in text and "PASS" in text and "FAIL" not in text
     assert "empirical_h0" in text
     assert "lamb_oseen_convergence" in text
+
+
+def test_validate_divergence_bound_follows_solver_tolerance(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  cfl: 0.4\n  t_end: 0.02\n  projection_tol: 1e-6\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        "invariants:\n  h0: 0.01\n"
+        f"output:\n  directory: {out}\n",
+    )
+    assert main(["validate", "--config", cfg]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("divergence:")]
+    assert "bound=1e-05" in line and line.endswith("PASS")

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from axiswirl import microscope
 from axiswirl.fields import (
     AxisymField,
     ScalarField,
@@ -254,6 +255,105 @@ def test_swirl_smallness_rigid_rotation(grid32):
     r_phys = np.hypot(sample.phys[..., 0], sample.phys[..., 1])
     r_max_valid = r_phys[sample.valid[-1]].max()
     assert swirl_smallness(sample) == pytest.approx(omega * r_max_valid / q, rel=1e-10)
+
+
+# ----------------------------------------------------------- Holder oracle
+
+
+def _pairwise_holder(points, values, alpha, chunk=256):
+    """Oracle: max over all pairs of |values(a)-values(b)| / d_P(a,b)^alpha.
+
+    ``points`` is (m, 4) with columns (x1, x2, x3, t); d_P is the parabolic
+    distance max(|dx|, sqrt(|dt|)).  A chunked scan over every ordered pair.
+    """
+    m = len(points)
+    if m < 2:
+        return 0.0
+    best = 0.0
+    for lo in range(0, m, chunk):
+        hi = min(lo + chunk, m)
+        dx = points[lo:hi, None, :3] - points[None, :, :3]
+        dt = points[lo:hi, None, 3] - points[None, :, 3]
+        d = np.maximum(np.linalg.norm(dx, axis=-1), np.sqrt(np.abs(dt)))
+        dv = np.linalg.norm(values[lo:hi, None, :] - values[None, :, :], axis=-1)
+        mask = d > 1e-12
+        if mask.any():
+            best = max(best, float((dv[mask] / d[mask] ** alpha).max()))
+    return best
+
+
+def _oracle_holder(ts, xs, values, valid, alpha):
+    """The oracle on the valid lattice samples, as a flat point list."""
+    n = len(xs)
+    space = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1)
+    space4 = np.broadcast_to(space, (len(ts),) + space.shape)[valid]
+    time4 = np.broadcast_to(ts[:, None, None, None, None], (len(ts), n, n, n, 1))[valid]
+    vals = values[valid].reshape(len(space4), -1)
+    return _pairwise_holder(np.concatenate([space4, time4], axis=-1), vals, alpha, chunk=64)
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("nt", [3, 5])
+@pytest.mark.parametrize("comps", [3, 18])
+def test_lattice_holder_equals_all_pairs_oracle(n, nt, comps):
+    rng = np.random.default_rng([n, nt, comps])
+    length = 0.37  # a capped, non-dyadic half-edge: lattice steps vary in the last ulp
+    xs = np.linspace(-length, length, n)
+    ts = np.linspace(-length**2, 0.0, nt)
+    values = rng.normal(size=(nt, n, n, n, comps))
+    random_mask = rng.random((nt, n, n, n)) < 0.8
+    # a cube past the domain edge loses slabs across the lattice axes, and one
+    # that reaches before the first snapshot loses its early time levels
+    slab_mask = np.ones((nt, n, n, n), bool)
+    slab_mask[:, : n // 3] = False
+    slab_mask[..., -1] = False
+    slab_mask[0] = False
+    for valid in (random_mask, slab_mask):
+        for alpha in (0.1, 0.5, 0.9):
+            got = microscope._lattice_holder(ts, xs, values, valid, alpha)
+            assert got == _oracle_holder(ts, xs, values, valid, alpha)
+            assert got > 0.0
+
+
+def test_lattice_holder_needs_two_valid_samples():
+    xs = np.linspace(-1.0, 1.0, 5)
+    ts = np.linspace(-1.0, 0.0, 3)
+    valid = np.zeros((3, 5, 5, 5), bool)
+    valid[1, 2, 2, 2] = True
+    values = np.ones((3, 5, 5, 5, 3))
+    assert microscope._lattice_holder(ts, xs, values, valid, 0.5) == 0.0
+
+
+def test_closeness_holder_equals_oracle_on_ring_cubes(grid32, ring_field, monkeypatch):
+    calls = []
+    lattice_holder = microscope._lattice_holder
+
+    def checked(ts, xs, values, valid, alpha):
+        got = lattice_holder(ts, xs, values, valid, alpha)
+        calls.append(_oracle_holder(ts, xs, values, valid, alpha))
+        assert got == calls[-1]
+        return got
+
+    monkeypatch.setattr(microscope, "_lattice_holder", checked)
+    fields = [ring_field.copy() for _ in range(3)]
+    for k, fld in enumerate(fields):
+        fld.vr *= 1.0 + 0.5 * k
+        fld.vz *= 1.0 + 0.5 * k
+    hist = _history(grid32, fields, [0.0, 0.1, 0.2])
+    cfg = MicroscopeConfig(sigma0=8.0, cube_resolution=7)
+    reports = 0
+    for mode in ("A", "B"):
+        for zoom in find_almost_maximal(hist, mode, cfg.ratio_threshold):
+            sample = rescale_history(hist, zoom, cfg)
+            calls.clear()
+            try:
+                rep = constant_closeness(sample, cfg)
+            except InsufficientSamplesError:
+                continue
+            reports += 1
+            assert len(calls) == 2
+            assert rep.holder_seminorm == max(calls) > 0.0
+    assert reports >= 2
 
 
 # ---------------------------------------------------------------- report
