@@ -65,6 +65,12 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
         (outdir / "config.yaml").write_text(serialize_config(cfg), encoding="utf-8")
 
     diag_path = outdir / "diagnostics.csv"
+    if existing and diag_path.exists():
+        # drop the rows the earlier run wrote after the snapshot it resumes from
+        header, *rows = diag_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        kept = [row for row in rows if int(row.split(",", 1)[0]) <= step_offset]
+        with open(diag_path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(header + "".join(kept))
     with open(diag_path, diag_mode, encoding="utf-8", newline="\n") as fh:
         if diag_mode == "w":
             fh.write(",".join(DIAG_COLUMNS) + "\n")

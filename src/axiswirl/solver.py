@@ -195,49 +195,43 @@ def momentum_rhs(state: AxisymField, mu: float = 1.0) -> AxisymField:
 # divergence matrix, weights and the projection operator
 # ---------------------------------------------------------------------------
 
-def _pidx(i, j, nz):
-    return i * (nz + 1) + j
-
-
 def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
     """Sparse matrix of the discrete divergence acting on stacked [vr, vz] nodes.
 
-    Row for row agrees with fields.divergence (verified by test)."""
+    Row for row agrees with fields.divergence (verified by test).  Each stencil
+    case is one block of (rows, cols, value) over the node index grid; the
+    result is canonical CSR (sorted column indices, no duplicates)."""
     nr, nz = g.nr, g.nz
     dr, dz = g.dr, g.dz
     npts = (nr + 1) * (nz + 1)
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-
-    for i in range(nr + 1):
-        for j in range(nz + 1):
-            row = _pidx(i, j, nz)
-            # radial: d_r vr + vr/r
-            if i == 0:
-                rows.append(row); cols.append(_pidx(1, j, nz)); vals.append(2.0 / dr)
-            elif i == nr:
-                rows += [row, row, row]
-                cols += [_pidx(nr, j, nz), _pidx(nr - 1, j, nz), _pidx(nr - 2, j, nz)]
-                vals += [3 / (2 * dr) + 1.0 / (nr * dr), -4 / (2 * dr), 1 / (2 * dr)]
-            else:
-                rows += [row, row, row]
-                cols += [_pidx(i + 1, j, nz), _pidx(i - 1, j, nz), _pidx(i, j, nz)]
-                vals += [1 / (2 * dr), -1 / (2 * dr), 1.0 / (i * dr)]
-            # axial: d_z vz (offset by npts in the stacked vector)
-            if j == 0:
-                rows += [row, row, row]
-                cols += [npts + _pidx(i, 0, nz), npts + _pidx(i, 1, nz), npts + _pidx(i, 2, nz)]
-                vals += [-3 / (2 * dz), 4 / (2 * dz), -1 / (2 * dz)]
-            elif j == nz:
-                rows += [row, row, row]
-                cols += [npts + _pidx(i, nz, nz), npts + _pidx(i, nz - 1, nz), npts + _pidx(i, nz - 2, nz)]
-                vals += [3 / (2 * dz), -4 / (2 * dz), 1 / (2 * dz)]
-            else:
-                rows += [row, row]
-                cols += [npts + _pidx(i, j + 1, nz), npts + _pidx(i, j - 1, nz)]
-                vals += [1 / (2 * dz), -1 / (2 * dz)]
-    return sp.coo_matrix((vals, (rows, cols)), shape=(npts, 2 * npts)).tocsr()
+    idx = np.arange(npts).reshape(nr + 1, nz + 1)
+    vz = idx + npts  # axial terms act on the vz half of the stacked vector
+    inv_r = (1.0 / (np.arange(1, nr) * dr))[:, None]
+    blocks = [
+        # radial: d_r vr + vr/r; the axis row uses the limit 2 d_r vr
+        (idx[0], idx[1], 2.0 / dr),
+        (idx[1:-1], idx[2:], 1 / (2 * dr)),
+        (idx[1:-1], idx[:-2], -1 / (2 * dr)),
+        (idx[1:-1], idx[1:-1], inv_r),
+        (idx[-1], idx[-1], 3 / (2 * dr) + 1.0 / (nr * dr)),
+        (idx[-1], idx[-2], -4 / (2 * dr)),
+        (idx[-1], idx[-3], 1 / (2 * dr)),
+        # axial: d_z vz, one-sided second order on the z ends
+        (idx[:, 0], vz[:, 0], -3 / (2 * dz)),
+        (idx[:, 0], vz[:, 1], 4 / (2 * dz)),
+        (idx[:, 0], vz[:, 2], -1 / (2 * dz)),
+        (idx[:, 1:-1], vz[:, 2:], 1 / (2 * dz)),
+        (idx[:, 1:-1], vz[:, :-2], -1 / (2 * dz)),
+        (idx[:, -1], vz[:, -1], 3 / (2 * dz)),
+        (idx[:, -1], vz[:, -2], -4 / (2 * dz)),
+        (idx[:, -1], vz[:, -3], 1 / (2 * dz)),
+    ]
+    rows = np.concatenate([r.ravel() for r, _, _ in blocks])
+    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
+    vals = np.concatenate([np.broadcast_to(v, r.shape).ravel() for r, _, v in blocks])
+    D = sp.csr_matrix((vals, (rows, cols)), shape=(npts, 2 * npts))
+    D.sort_indices()
+    return D
 
 
 def volume_weights(g: Grid) -> np.ndarray:
@@ -260,7 +254,10 @@ class ProjectionOperator:
     """Exact discrete Helmholtz projection onto divergence-free fields.
 
     Solves (D B W^-1 D^T) s = div(u*)/dt with CG, preconditioned by a direct
-    factorization of the slightly shifted operator; the velocity update is the
+    factorization of the slightly shifted operator.  That matrix is symmetric
+    positive definite, so SuperLU runs in symmetric mode with pivots kept on
+    the diagonal, which preserves the fill-reducing minimum-degree ordering of
+    A + A^T.  The factor is built once per operator.  The velocity update is the
     adjoint gradient B W^-1 D^T s, which reduces in the interior to the
     centered-difference pressure gradient matching the divergence stencil.
 
@@ -288,7 +285,8 @@ class ProjectionOperator:
         self._Df = D[:, self._mask].tocsr()
         self._K = (self._Df @ sp.diags(1.0 / self._wu[self._mask]) @ self._Df.T).tocsr()
         shifted = (self._K + shift * sp.identity(npts)).tocsc()
-        self._lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
+        self._lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                             options=dict(SymmetricMode=True))
         self._M = spla.LinearOperator(self._K.shape, self._lu.solve)
         self._s_prev: np.ndarray | None = None
 
@@ -323,121 +321,6 @@ class ProjectionOperator:
         out.vz -= dt * grad[self._npts:].reshape(g.shape)
         p = ScalarField(g, (-s / self._wp).reshape(g.shape), role="pressure")
         return out, p
-
-
-def project(u_star: AxisymField, dt: float, tol: float = 1e-10) -> tuple[AxisymField, ScalarField]:
-    """One-shot projection (builds the operator; prefer ProjectionOperator for loops)."""
-    return ProjectionOperator(u_star.grid, tol=tol).project(u_star, dt)
-
-
-# ---------------------------------------------------------------------------
-# standalone cylindrical Poisson solve (Neumann, zero weighted mean)
-# ---------------------------------------------------------------------------
-
-def cylindrical_laplacian(f: ScalarField) -> ScalarField:
-    """Conservative evaluation of d_rr f + (1/r) d_r f + d_zz f with Neumann closure."""
-    g = f.grid
-    dr, dz = g.dr, g.dz
-    v = f.values
-    out = np.zeros(g.shape)
-
-    rad = np.zeros(g.shape)
-    rp = (g.r[1:-1] + 0.5 * dr)[:, None]
-    rm = (g.r[1:-1] - 0.5 * dr)[:, None]
-    rad[1:-1, :] = (rp * (v[2:, :] - v[1:-1, :]) - rm * (v[1:-1, :] - v[:-2, :])) / (
-        g.r[1:-1, None] * dr**2
-    )
-    rad[0, :] = 4 * (v[1, :] - v[0, :]) / dr**2
-    rad[-1, :] = 2 * (g.r[-1] - 0.5 * dr) * (v[-2, :] - v[-1, :]) / (g.r[-1] * dr**2)
-
-    ax = np.zeros(g.shape)
-    ax[:, 1:-1] = (v[:, 2:] - 2 * v[:, 1:-1] + v[:, :-2]) / dz**2
-    ax[:, 0] = 2 * (v[:, 1] - v[:, 0]) / dz**2
-    ax[:, -1] = 2 * (v[:, -2] - v[:, -1]) / dz**2
-
-    out[:] = rad + ax
-    return ScalarField(g, out, role="generic")
-
-
-_POISSON_CACHE: dict[Grid, tuple[sp.csr_matrix, np.ndarray, spla.LinearOperator]] = {}
-
-
-def _compact_poisson_system(g: Grid):
-    if g in _POISSON_CACHE:
-        return _POISSON_CACHE[g]
-    nr, nz = g.nr, g.nz
-    dr, dz = g.dr, g.dz
-    n = (nr + 1) * (nz + 1)
-    w = volume_weights(g)
-    # weighted symmetric form: rows are w_ij * (L p)_ij
-    rows, cols, vals = [], [], []
-
-    def add(i, j, i2, j2, v):
-        rows.append(_pidx(i, j, nz))
-        cols.append(_pidx(i2, j2, nz))
-        vals.append(v)
-
-    wr = w[:, 0] / (0.5 * dz)  # radial weight component * dr
-    wz_line = np.ones(nz + 1)
-    wz_line[0] = wz_line[-1] = 0.5
-    for i in range(nr + 1):
-        for j in range(nz + 1):
-            wij = w[i, j]
-            # radial fluxes
-            if i == 0:
-                c = wij * 4 / dr**2
-                add(0, j, 1, j, c); add(0, j, 0, j, -c)
-            elif i == nr:
-                c = wij * 2 * (g.r[-1] - 0.5 * dr) / (g.r[-1] * dr**2)
-                add(i, j, i - 1, j, c); add(i, j, i, j, -c)
-            else:
-                cp = wij * (g.r[i] + 0.5 * dr) / (g.r[i] * dr**2)
-                cm = wij * (g.r[i] - 0.5 * dr) / (g.r[i] * dr**2)
-                add(i, j, i + 1, j, cp)
-                add(i, j, i - 1, j, cm)
-                add(i, j, i, j, -(cp + cm))
-            # axial fluxes
-            if j == 0:
-                c = wij * 2 / dz**2
-                add(i, j, i, 1, c); add(i, j, i, 0, -c)
-            elif j == nz:
-                c = wij * 2 / dz**2
-                add(i, j, i, j - 1, c); add(i, j, i, j, -c)
-            else:
-                c = wij / dz**2
-                add(i, j, i, j + 1, c)
-                add(i, j, i, j - 1, c)
-                add(i, j, i, j, -2 * c)
-    M = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    M = -M  # positive semidefinite
-    scale = float(np.abs(M.diagonal()).max())
-    lu = spla.splu((M + 1e-8 * scale * sp.identity(n)).tocsc())
-    pre = spla.LinearOperator(M.shape, lu.solve)
-    _POISSON_CACHE[g] = (M, w.ravel(), pre)
-    return _POISSON_CACHE[g]
-
-
-def pressure_poisson_solve(rhs: ScalarField, tol: float = 1e-10,
-                           max_iter: int = 10_000) -> ScalarField:
-    """Solve d_rr p + (1/r) d_r p + d_zz p = rhs with Neumann boundaries.
-
-    The rhs weighted mean is removed for compatibility; the result has zero
-    weighted mean.  Raises PoissonError with the achieved residual on failure.
-    """
-    g = rhs.grid
-    M, w, pre = _compact_poisson_system(g)
-    b = rhs.values.ravel().copy()
-    b -= np.sum(w * b) / np.sum(w)
-    bw = -(w * b)  # weighted symmetric right-hand side (M is -w*L)
-    if np.max(np.abs(bw)) == 0.0:
-        return ScalarField(g, np.zeros(g.shape), role="pressure")
-    p, info = spla.cg(M, bw, rtol=tol * 1e-2, atol=0.0, maxiter=max_iter, M=pre)
-    lap = cylindrical_laplacian(ScalarField(g, p.reshape(g.shape))).values.ravel()
-    achieved = float(np.linalg.norm(lap - b) / np.linalg.norm(b))
-    if info != 0 or achieved > tol:
-        raise PoissonError(f"Poisson solve residual {achieved:.3e} exceeds tol {tol:.1e}", achieved)
-    p -= np.sum(w * p) / np.sum(w)
-    return ScalarField(g, p.reshape(g.shape), role="pressure")
 
 
 # ---------------------------------------------------------------------------

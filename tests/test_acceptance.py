@@ -32,6 +32,8 @@ from axiswirl.microscope import (
 from axiswirl.solver import AxisymSolver, SolverConfig
 from axiswirl.validation import lamb_oseen_run
 
+pytestmark = pytest.mark.acceptance
+
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PROJECTION_TOL = 1e-10
 

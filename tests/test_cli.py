@@ -141,6 +141,23 @@ def test_resume_continues_from_last_snapshot(tmp_path):
     assert min(times) >= 4e-3 - 1e-12
 
 
+def test_resume_between_snapshots_keeps_each_step_once(tmp_path):
+    # the first run stops at step 5, after its last snapshot at step 4; the
+    # resumed run restarts from step 4 and must not repeat step 5
+    out = tmp_path / "out"
+    for t_end, extra in (("5e-3", []), ("9e-3", ["--resume"])):
+        cfg = _write(
+            tmp_path / "run.yaml",
+            "grid:\n  nr: 16\n  nz: 16\n"
+            f"solver:\n  dt: 1e-3\n  t_end: {t_end}\n  snapshot_every: 2\n"
+            f"output:\n  directory: {out}\n",
+        )
+        assert main(["simulate", "--config", cfg, *extra]) == 0
+    rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
+    step_col = DIAG_COLUMNS.index("step")
+    assert [int(r.split(",")[step_col]) for r in rows] == list(range(10))
+
+
 def test_sweep_writes_summary(tmp_path):
     out = tmp_path / "sweep"
     cfg = _write(
