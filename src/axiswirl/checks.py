@@ -30,7 +30,6 @@ class InvariantConfig:
     max_principle_tol: float = 1e-6  # relative per step
     divergence_factor: float = 10.0
     scaling_lambda: float = 2.0
-    mu: float = 1.0
 
     def __post_init__(self):
         if self.h0 <= 0:
@@ -177,8 +176,8 @@ def check_scaling_covariance(history: SnapshotHistory, lam: float = 2.0,
 
 
 def run_invariant_suite(history: SnapshotHistory, n0: float, config: InvariantConfig,
-                        projection_tol: float = 1e-10) -> list[dict]:
-    """Every check on ``history``; ``projection_tol`` is the solver's tolerance."""
+                        projection_tol: float = 1e-10, mu: float = 1.0) -> list[dict]:
+    """Every check on ``history``; ``projection_tol`` and ``mu`` are the solver's."""
     reports = [
         check_max_principle(history, n0, config.max_principle_tol),
         check_short_time_bound(history, n0, config.h0),
@@ -186,5 +185,5 @@ def run_invariant_suite(history: SnapshotHistory, n0: float, config: InvariantCo
         check_divergence(history, projection_tol, config.divergence_factor),
     ]
     if len(history) >= 3:
-        reports.append(check_scaling_covariance(history, config.scaling_lambda, config.mu))
+        reports.append(check_scaling_covariance(history, config.scaling_lambda, mu))
     return reports

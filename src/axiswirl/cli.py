@@ -13,7 +13,14 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_invariant_suite
-from .config import ConfigError, RunConfig, apply_override, parse_config, serialize_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    apply_override,
+    check_consistency,
+    parse_config,
+    serialize_config,
+)
 from .fields import SnapshotHistory, make_grid, read_snapshot, write_snapshot
 from .initial import check_n0_bounds, generate
 from .microscope import microscope_report, write_cube
@@ -50,7 +57,8 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
 
-    history = SnapshotHistory(capacity=cfg.output.history_capacity)
+    # snapshots go to disk; the solver keeps only the latest in memory
+    history = SnapshotHistory(capacity=1)
     existing = _snapshot_paths(outdir) if resume else []
     step_offset = 0
     if existing:
@@ -138,7 +146,7 @@ def run_validate(cfg: RunConfig) -> int:
     solver = AxisymSolver(initial, cfg.solver, history=history)
     solver.run(cfg.solver.t_end)
     reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants,
-                                  cfg.solver.projection_tol)
+                                  cfg.solver.projection_tol, cfg.solver.mu)
     for rep in reports:
         print(f"{rep['name']}: measured={rep['measured']:.6g} bound={rep['bound']:.6g} "
               f"margin={rep['margin']:.3g} {'PASS' if rep['pass'] else 'FAIL'}")
@@ -175,6 +183,7 @@ def run_sweep(cfg: RunConfig) -> int:
             sub = dataclasses.replace(
                 sub, output=dataclasses.replace(sub.output, directory=str(subdir))
             )
+            check_consistency(sub)
             run_simulate(sub)
             last = Path(subdir, "diagnostics.csv").read_text(encoding="utf-8").strip()
             last_row = last.splitlines()[-1]

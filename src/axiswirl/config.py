@@ -128,7 +128,18 @@ def parse_config(text: str) -> RunConfig:
     # solver needs exactly one of dt/cfl; supply the default only if absent
     if "solver" not in kwargs:
         kwargs["solver"] = SolverConfig(cfl=0.4)
-    return RunConfig(**kwargs)
+    cfg = RunConfig(**kwargs)
+    check_consistency(cfg)
+    return cfg
+
+
+def check_consistency(cfg: RunConfig) -> None:
+    """Reject fields of different sections that contradict each other."""
+    if cfg.data.kind == "lamb_oseen" and cfg.data.nu != cfg.solver.mu:
+        raise ConfigError(
+            f"data.nu = {cfg.data.nu} differs from solver.mu = {cfg.solver.mu}: the "
+            "Lamb-Oseen data must diffuse with the solver's viscosity"
+        )
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line driver."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import axiswirl.cli
 from axiswirl.cli import DIAG_COLUMNS, MICRO_COLUMNS, main
-from axiswirl.fields import read_snapshot
+from axiswirl.fields import SnapshotHistory, read_snapshot
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _write(path, text):
@@ -50,6 +55,41 @@ def test_simulate_zero_data_stays_zero(tmp_path):
     rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
     q_col = DIAG_COLUMNS.index("Q")
     assert all(float(r.split(",")[q_col]) == 0.0 for r in rows)
+
+
+def test_simulate_keeps_at_most_one_snapshot_in_memory(tmp_path, monkeypatch):
+    # every snapshot goes to disk; none needs to stay in memory
+    most = []
+    push = SnapshotHistory.push
+
+    def counting_push(self, t, fld, pressure):
+        push(self, t, fld, pressure)
+        most.append(len(self))
+
+    monkeypatch.setattr(SnapshotHistory, "push", counting_push)
+    out = tmp_path / "out"
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n"
+        "solver:\n  dt: 1e-3\n  t_end: 0.03\n  snapshot_every: 1\n"
+        f"output:\n  directory: {out}\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    assert len(list(out.glob("snap_*.bin"))) == 31
+    assert len(most) == 31 and max(most) == 1
+
+
+def test_hold_boundary_with_outward_flux_fails_fast(tmp_path):
+    # held boundary values that carry flux out of the domain cannot be made
+    # divergence free; the projection gives up at poisson_max_iter (exit 2)
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 24\n  nz: 40\n  r_max: 3.0\n  z_min: -2.0\n  z_max: 5.0\n"
+        "solver:\n  t_end: 0.01\n  boundary: hold\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 2
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -214,3 +254,38 @@ def test_validate_divergence_bound_follows_solver_tolerance(tmp_path, capsys):
     (line,) = [ln for ln in capsys.readouterr().out.splitlines()
                if ln.startswith("divergence:")]
     assert "bound=1e-05" in line and line.endswith("PASS")
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
+def test_validate_passes_on_every_shipped_config(path, capsys):
+    assert main(["validate", "--config", str(path)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_validate_uses_solver_mu_for_scaling_covariance(tmp_path, monkeypatch):
+    seen = []
+    suite = axiswirl.cli.run_invariant_suite
+
+    def spy(history, n0, config, projection_tol, mu):
+        seen.append(mu)
+        return suite(history, n0, config, projection_tol, mu)
+
+    monkeypatch.setattr(axiswirl.cli, "run_invariant_suite", spy)
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  mu: 0.5\n  t_end: 0.02\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+    )
+    main(["validate", "--config", cfg])
+    assert seen == [0.5]
+
+
+def test_lamb_oseen_nu_must_equal_solver_mu(tmp_path, capsys):
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "solver:\n  mu: 1.0\n"
+        "data:\n  kind: lamb_oseen\n  nu: 0.5\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "data.nu" in capsys.readouterr().err

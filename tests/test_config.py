@@ -37,6 +37,20 @@ def test_unknown_section_key_names_full_path():
         parse_config("grid:\n  nx: 4\n")
 
 
+def test_invariants_mu_is_unknown_key():
+    # the viscosity has one home, solver.mu
+    with pytest.raises(ConfigError, match="unknown key invariants.mu"):
+        parse_config("invariants:\n  mu: 1.0\n")
+
+
+def test_lamb_oseen_nu_must_equal_solver_mu():
+    parse_config("solver:\n  mu: 0.5\ndata:\n  kind: lamb_oseen\n  nu: 0.5\n")
+    with pytest.raises(ConfigError, match="data.nu"):
+        parse_config("solver:\n  mu: 0.5\ndata:\n  kind: lamb_oseen\n")
+    # other data kinds have no viscosity of their own
+    parse_config("solver:\n  mu: 0.5\ndata:\n  kind: stream_random\n")
+
+
 def test_invalid_value_names_section_path():
     with pytest.raises(ConfigError, match="solver"):
         parse_config("solver:\n  mu: -1.0\n")
@@ -75,7 +89,7 @@ def test_round_trip_law():
     text = (
         "grid:\n  nr: 48\n  r_max: 6.0\n"
         "solver:\n  cfl: 0.3\n  mu: 0.5\n"
-        "data:\n  kind: lamb_oseen\n  t_offset: 0.25\n"
+        "data:\n  kind: lamb_oseen\n  nu: 0.5\n  t_offset: 0.25\n"
     )
     cfg = parse_config(text)
     again = parse_config(serialize_config(cfg))

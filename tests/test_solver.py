@@ -1,9 +1,14 @@
 """Spatial operators, projection, stepping and residual norms."""
+import gc
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from axiswirl.config import parse_config
 from axiswirl.fields import (
     AxisymField,
     ScalarField,
@@ -15,6 +20,7 @@ from axiswirl.fields import (
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_profile
 from axiswirl.solver import (
     AxisymSolver,
+    PoissonError,
     ProjectionOperator,
     SolverConfig,
     advect,
@@ -271,7 +277,8 @@ def test_projection_factor_keeps_diagonal_pivots(dims):
     op = ProjectionOperator(g, tol=tol)
     lu = op._lu
     assert np.array_equal(lu.perm_r, lu.perm_c)
-    shifted = (op._K + 1e-3 * sp.identity(op._npts)).tocsc()
+    assert lu.L.dtype == np.float32 and lu.U.dtype == np.float32
+    shifted = (op._K + 1e-3 * sp.identity(op._npts)).tocsc().astype(np.float32)
     default = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A")
     assert lu.L.nnz + lu.U.nnz <= 0.9 * (default.L.nnz + default.U.nnz)
     # the ring with the solver's no-slip walls, so the boundary flux is compatible
@@ -280,6 +287,98 @@ def test_projection_factor_keeps_diagonal_pivots(dims):
         arr[-1, :] = arr[:, 0] = arr[:, -1] = 0.0
     out, _ = op.project(fld, dt=1e-3)
     assert float(np.max(np.abs(divergence(out).values))) <= 10 * tol
+
+
+def test_projection_factors_float32_csc_through_module_splu(monkeypatch, grid16):
+    # the factorisation must be looked up as scipy.sparse.linalg.splu at call
+    # time, so that wrappers installed on that attribute see every factor
+    calls = []
+    real_splu = spla.splu
+
+    def splu(A, *args, **kwargs):
+        calls.append(A)
+        return real_splu(A, *args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    ProjectionOperator(grid16)
+    (A,) = calls
+    assert A.format == "csc" and A.dtype == np.float32
+
+
+class _CountingFactor:
+    """Stands in for a SuperLU factor and counts its solves."""
+
+    def __init__(self, lu):
+        self._lu = lu
+        self.solves = 0
+
+    def solve(self, rhs):
+        self.solves += 1
+        return self._lu.solve(rhs)
+
+
+def _count_factor_solves(monkeypatch):
+    """Make every factor built from now on count its solves."""
+    real_splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **k: _CountingFactor(real_splu(*a, **k)))
+
+
+def test_projection_gives_up_after_max_iter_on_incompatible_flux(monkeypatch):
+    # without the no-slip walls the ring keeps a flux through r = r_max that no
+    # pressure can remove: CG gives up after poisson_max_iter preconditioner
+    # solves instead of running on
+    _count_factor_solves(monkeypatch)
+    g = make_grid(24, 40, 3.0, -2.0, 5.0)
+    op = ProjectionOperator(g)
+    assert op.max_iter == SolverConfig(cfl=0.4).poisson_max_iter
+    before = op._lu.solves
+    fld = apply_axis_conditions(generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g))
+    with pytest.raises(PoissonError):
+        op.project(fld, dt=1.0)
+    assert op._lu.solves - before == op.max_iter
+
+
+def test_projection_operator_is_freed_without_cycle_collection(grid16):
+    # a reference cycle would keep each factor alive until the cyclic
+    # collector happens to run, so that two solvers' factors coexist
+    op = ProjectionOperator(grid16)
+    ref = weakref.ref(op)
+    gc.disable()
+    try:
+        del op
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+
+
+@pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+def test_shipped_configs_project_in_at_most_two_solves(monkeypatch, path):
+    cfg = parse_config(path.read_text(encoding="utf-8"))
+    _count_factor_solves(monkeypatch)
+    real_project = ProjectionOperator.project
+    solves, divs = [], []
+
+    def project(self, u_star, dt):
+        before = self._lu.solves
+        out, p = real_project(self, u_star, dt)
+        solves.append(self._lu.solves - before)
+        divs.append(float(np.max(np.abs(divergence(out).values))))
+        return out, p
+
+    monkeypatch.setattr(ProjectionOperator, "project", project)
+    grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
+    assert grid.shape == (65, 65)
+    solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
+    for _ in range(20):
+        solver.step()
+    # the initial projection and two per step; the initial one starts CG from
+    # zero, every later one from the previous pressure
+    assert len(solves) == 41
+    assert max(solves[1:]) <= 2
+    assert max(divs) <= cfg.solver.projection_tol
 
 
 def test_divergence_matrix_matches_operator(grid16):
