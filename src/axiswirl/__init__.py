@@ -10,7 +10,6 @@ from .fields import (
     make_grid,
     max_rspeed,
     max_speed,
-    reconstruct_cartesian,
 )
 from .solver import AxisymSolver, SolverConfig, momentum_rhs, mms_residual
 
@@ -28,5 +27,4 @@ __all__ = [
     "max_speed",
     "mms_residual",
     "momentum_rhs",
-    "reconstruct_cartesian",
 ]

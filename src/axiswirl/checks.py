@@ -6,7 +6,7 @@ on any violation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,7 +18,6 @@ from .fields import (
     make_grid,
     max_rspeed,
     max_speed,
-    sample_components,
 )
 from .solver import kinetic_energy, mms_residual
 
@@ -123,25 +122,22 @@ def check_divergence(history: SnapshotHistory, projection_tol: float = 1e-10,
 
 
 def rescale_snapshot_sequence(history: SnapshotHistory, lam: float) -> SnapshotHistory:
-    """The lambda-zoomed sequence lam*v(lam x, lam^2 t) resampled onto a shrunk grid.
+    """The lambda-zoomed sequence lam*v(lam x, lam^2 t), lam^2*p(lam x, lam^2 t).
 
-    The new grid keeps the node counts with extents divided by lam, so for
-    integer lam the sample points land on original nodes and no interpolation
-    error enters.
+    The new grid keeps the node counts with every extent divided by lam, so
+    lam times its node (i, j) is the original node (i, j) for any lam > 0: the
+    zoom is exact, a scaling of the nodal arrays with time divided by lam^2.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     g = history.snapshots[0].field.grid
     gg = make_grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
     out = SnapshotHistory()
-    R, Z = np.meshgrid(gg.r, gg.z, indexing="ij")
     for snap in history:
-        vr, vt, vz = sample_components(snap.field, lam * R, lam * Z)
-        fld = AxisymField(gg, lam * vr, lam * vt, lam * vz)
-        from .fields import bilinear_sample
-
-        p = lam**2 * bilinear_sample(g, snap.pressure.values, lam * R, lam * Z)
-        out.push(snap.t / lam**2, fld, ScalarField(gg, p, role="pressure"))
+        f = snap.field
+        fld = AxisymField(gg, lam * f.vr, lam * f.vtheta, lam * f.vz)
+        p = ScalarField(gg, lam**2 * snap.pressure.values, role="pressure")
+        out.push(snap.t / lam**2, fld, p)
     return out
 
 

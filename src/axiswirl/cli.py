@@ -6,6 +6,7 @@ violation.  Emitted CSVs are byte-stable for identical config and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .microscope import microscope_report, write_cube
 from .solver import AxisymSolver, PoissonError, UnstableError
 from .validation import lamb_oseen_convergence
 
+# the fields of solver.DiagnosticsRecord, in order
 DIAG_COLUMNS = (
     "step", "t", "Q", "argmax_r", "argmax_z", "R", "max_rvtheta",
     "energy", "max_divergence", "boundary_max",
@@ -57,52 +59,36 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
 
-    # snapshots go to disk; the solver keeps only the latest in memory
-    history = SnapshotHistory(capacity=1)
+    # snapshots and diagnostics go to disk as the solver reports them
     existing = _snapshot_paths(outdir) if resume else []
-    step_offset = 0
     if existing:
-        t0, fld, pressure = read_snapshot(existing[-1])
-        solver = AxisymSolver(fld, cfg.solver, history=history, t0=t0)
-        step_offset = int(existing[-1].stem.split("_")[1])
-        diag_mode = "a"
+        t0, fld, _ = read_snapshot(existing[-1])
+        step0 = int(existing[-1].stem.split("_")[1])
+        solver = AxisymSolver(fld, cfg.solver, t0=t0, step0=step0)
     else:
-        initial = generate(cfg.data, grid)
-        solver = AxisymSolver(initial, cfg.solver, history=history)
-        diag_mode = "w"
+        solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
         (outdir / "config.yaml").write_text(serialize_config(cfg), encoding="utf-8")
 
     diag_path = outdir / "diagnostics.csv"
+    head = ",".join(DIAG_COLUMNS) + "\n"
     if existing and diag_path.exists():
-        # drop the rows the earlier run wrote after the snapshot it resumes from
-        header, *rows = diag_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        kept = [row for row in rows if int(row.split(",", 1)[0]) <= step_offset]
-        with open(diag_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "".join(kept))
-    with open(diag_path, diag_mode, encoding="utf-8", newline="\n") as fh:
-        if diag_mode == "w":
-            fh.write(",".join(DIAG_COLUMNS) + "\n")
+        # keep the rows up to the snapshot the run resumes from, drop the later ones
+        head, *rows = diag_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        head += "".join(row for row in rows if int(row.split(",", 1)[0]) <= solver.step_count)
+    with open(diag_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
 
-        def emit() -> None:
-            rec = solver.record_diagnostics()
-            row = (rec.step + step_offset, rec.t, rec.q, rec.argmax_r, rec.argmax_z,
-                   rec.r_speed, rec.max_rvtheta, rec.energy, rec.max_divergence,
-                   rec.boundary_max)
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        def emit(rec) -> None:
+            fh.write(",".join(_fmt(x) for x in dataclasses.astuple(rec)) + "\n")
 
-        def dump_snapshot() -> None:
-            path = outdir / f"snap_{step_offset + solver.step_count:08d}.bin"
-            write_snapshot(path, solver.t, solver.state, solver.pressure)
+        def dump_snapshot(s: AxisymSolver) -> None:
+            write_snapshot(outdir / f"snap_{s.step_count:08d}.bin", s.t, s.state, s.pressure)
 
+        # a resumed run has both its starting row and its starting snapshot
         if not existing:
-            emit()
-            dump_snapshot()
-        while solver.t < cfg.solver.t_end - 1e-14:
-            solver.step()
-            if solver.step_count % cfg.output.diagnostics_every == 0:
-                emit()
-            if solver.step_count % cfg.solver.snapshot_every == 0:
-                dump_snapshot()
+            emit(solver.record_diagnostics())
+            dump_snapshot(solver)
+        solver.run(cfg.solver.t_end, on_snapshot=dump_snapshot, on_diagnostics=emit)
     return 0
 
 
@@ -114,8 +100,7 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
         raise ConfigError(f"no snapshots found in {directory}")
     history = SnapshotHistory()
     for p in paths:
-        t, fld, pressure = read_snapshot(p)
-        history.push(t, fld, pressure)
+        history.push(*read_snapshot(p))
     rows = microscope_report(history, cfg.microscope)
     out = Path(out_path) if out_path else directory / "microscope.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
@@ -142,9 +127,11 @@ def run_validate(cfg: RunConfig) -> int:
           f"{'PASS' if bounds['pass'] else 'FAIL'}")
     ok = bounds["pass"]
 
-    history = SnapshotHistory(capacity=cfg.output.history_capacity)
-    solver = AxisymSolver(initial, cfg.solver, history=history)
-    solver.run(cfg.solver.t_end)
+    # every snapshot of the run stays in memory for the suite
+    history = SnapshotHistory()
+    solver = AxisymSolver(initial, cfg.solver)
+    history.record(solver)
+    solver.run(cfg.solver.t_end, on_snapshot=history.record)
     reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants,
                                   cfg.solver.projection_tol, cfg.solver.mu)
     for rep in reports:
@@ -178,8 +165,6 @@ def run_sweep(cfg: RunConfig) -> int:
             for key, value in zip(keys, combo):
                 sub = apply_override(sub, key, value)
             subdir = outdir / f"sweep_{k:04d}"
-            import dataclasses
-
             sub = dataclasses.replace(
                 sub, output=dataclasses.replace(sub.output, directory=str(subdir))
             )

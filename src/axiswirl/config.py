@@ -29,8 +29,6 @@ class GridConfig:
 @dataclass
 class OutputConfig:
     directory: str = "out"
-    history_capacity: int = 0
-    diagnostics_every: int = 1
 
 
 @dataclass

@@ -6,8 +6,10 @@ the axial component and pressure are even.
 """
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterator
 
 import numpy as np
@@ -109,17 +111,18 @@ class Snapshot:
 
 @dataclass
 class SnapshotHistory:
-    """Time-ordered ring buffer of snapshots; oldest evicted beyond capacity."""
+    """Time-ordered list of snapshots."""
 
-    capacity: int = 0  # 0 means unbounded
     snapshots: list[Snapshot] = field(default_factory=list)
 
     def push(self, t: float, fld: AxisymField, pressure: ScalarField) -> None:
         if self.snapshots and t <= self.snapshots[-1].t:
             raise ValueError(f"snapshot times must increase: {t} after {self.snapshots[-1].t}")
         self.snapshots.append(Snapshot(float(t), fld, pressure))
-        if self.capacity and len(self.snapshots) > self.capacity:
-            del self.snapshots[0]
+
+    def record(self, solver) -> None:
+        """Push a copy of a solver's time, state and pressure (an ``on_snapshot`` sink)."""
+        self.push(solver.t, solver.state.copy(), solver.pressure.copy())
 
     def __len__(self) -> int:
         return len(self.snapshots)
@@ -169,18 +172,6 @@ def divergence(fld: AxisymField) -> ScalarField:
     return ScalarField(g, out, role="generic")
 
 
-def cylindrical_frame(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Orthonormal (e_r, e_theta, e_z) at Cartesian x = (x1, x2, z); requires r > 0."""
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[0], x[1])
-    if r == 0.0:
-        raise ValueError("cylindrical frame undefined on the axis")
-    e_r = np.array([x[0] / r, x[1] / r, 0.0])
-    e_theta = np.array([-x[1] / r, x[0] / r, 0.0])
-    e_z = np.array([0.0, 0.0, 1.0])
-    return e_r, e_theta, e_z
-
-
 def bilinear_sample(grid: Grid, values: np.ndarray, r, z):
     """Bilinear interpolation of nodal values at points (r, z). Vectorized.
 
@@ -222,19 +213,9 @@ def sample_components(fld: AxisymField, r, z) -> tuple[np.ndarray, np.ndarray, n
     )
 
 
-def reconstruct_cartesian(fld: AxisymField, x: np.ndarray) -> np.ndarray:
-    """Cartesian 3-vector v(x) = vr e_r + vtheta e_theta + vz e_z at x = (x1, x2, z)."""
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[0], x[1])
-    vr, vtheta, vz = sample_components(fld, r, x[2])
-    if r == 0.0:
-        return np.array([0.0, 0.0, float(vz)])
-    e_r, e_theta, e_z = cylindrical_frame(x)
-    return float(vr) * e_r + float(vtheta) * e_theta + float(vz) * e_z
-
-
 def reconstruct_cartesian_many(fld: AxisymField, pts: np.ndarray) -> np.ndarray:
-    """Vectorized reconstruct_cartesian for an (n, 3) array of points."""
+    """Cartesian vectors v = vr e_r + vtheta e_theta + vz e_z at an (n, 3) array
+    of points (x1, x2, z); on the axis, where the frame is undefined, only vz."""
     pts = np.asarray(pts, dtype=float)
     r = np.hypot(pts[:, 0], pts[:, 1])
     vr, vtheta, vz = sample_components(fld, r, pts[:, 2])
@@ -285,23 +266,29 @@ def boundary_max(fld: AxisymField) -> float:
 # z_max, t as little-endian f64, then row-major vr, vtheta, vz, p arrays.
 # ---------------------------------------------------------------------------
 
-def write_snapshot(path, t: float, fld: AxisymField, pressure: ScalarField,
-                   magic: bytes = SNAPSHOT_MAGIC) -> None:
+def write_snapshot(path, t: float, fld: AxisymField, pressure: ScalarField) -> None:
+    """Write via ``<path>.part`` and a rename: a failed write leaves ``path`` as it was."""
     g = fld.grid
-    header = magic + struct.pack(
+    header = SNAPSHOT_MAGIC + struct.pack(
         "<I6d", SNAPSHOT_VERSION, float(g.nr), float(g.nz),
         g.r_max, g.z_min, g.z_max, float(t),
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in (fld.vr, fld.vtheta, fld.vz, pressure.values):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    part = Path(f"{path}.part")
+    try:
+        with open(part, "wb") as fh:
+            fh.write(header)
+            for arr in (fld.vr, fld.vtheta, fld.vz, pressure.values):
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
-def read_snapshot(path, magic: bytes = SNAPSHOT_MAGIC) -> tuple[float, AxisymField, ScalarField]:
+def read_snapshot(path) -> tuple[float, AxisymField, ScalarField]:
     with open(path, "rb") as fh:
         got = fh.read(4)
-        if got != magic:
+        if got != SNAPSHOT_MAGIC:
             raise ValueError(f"bad snapshot magic {got!r} in {path}")
         (version,) = struct.unpack("<I", fh.read(4))
         if version != SNAPSHOT_VERSION:

@@ -9,7 +9,7 @@ Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -19,10 +19,12 @@ from .fields import (
     AxisymField,
     Grid,
     ScalarField,
-    Snapshot,
     SnapshotHistory,
     apply_axis_conditions,
+    boundary_max,
     divergence,
+    max_rspeed,
+    max_speed,
 )
 
 
@@ -297,8 +299,10 @@ class ProjectionOperator:
                                   options=dict(SymmetricMode=True))
         # the preconditioner refers to the factor and not to self: a reference
         # cycle would keep each factor alive until the cyclic collector runs
+        # with its dtype given, scipy need not call the factor to infer it
         self._M = spla.LinearOperator(
-            self._K.shape, lambda r: lu.solve(r.astype(np.float32)).astype(np.float64))
+            self._K.shape, lambda r: lu.solve(r.astype(np.float32)).astype(np.float64),
+            dtype=np.float64)
         self._s_prev: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray, atol: float = 0.0) -> np.ndarray:
@@ -362,16 +366,15 @@ class DiagnosticsRecord:
 
 
 class AxisymSolver:
-    """Owns the marching state; snapshots pushed to history become immutable."""
+    """Marching state from time ``t0`` and step ``step0``; it keeps no history."""
 
-    def __init__(self, initial: AxisymField, config: SolverConfig,
-                 history: SnapshotHistory | None = None, t0: float = 0.0):
+    def __init__(self, initial: AxisymField, config: SolverConfig, t0: float = 0.0,
+                 step0: int = 0):
         self.config = config
         self.grid = initial.grid
         self.state = apply_axis_conditions(initial)
         self.t = float(t0)
-        self.step_count = 0
-        self.history = history if history is not None else SnapshotHistory()
+        self.step_count = step0
         self.projection = ProjectionOperator(
             self.grid, tol=config.projection_tol, max_iter=config.poisson_max_iter
         )
@@ -385,10 +388,8 @@ class AxisymSolver:
                 "vz": (s.vz[-1, :].copy(), s.vz[:, 0].copy(), s.vz[:, -1].copy()),
             }
         self.state = self._apply_bcs(self.state)
-        # clean the initial divergence so every stored snapshot is projected
+        # clean the initial divergence so every reported state is projected
         self.state, _ = self.projection.project(self.state, 1.0)
-        self.diagnostics: list[DiagnosticsRecord] = []
-        self._push_snapshot()
 
     def _apply_bcs(self, fld: AxisymField) -> AxisymField:
         out = apply_axis_conditions(fld)
@@ -412,8 +413,6 @@ class AxisymSolver:
 
     def current_dt(self) -> float:
         cfg = self.config
-        from .fields import max_speed
-
         q, _ = max_speed(self.state)
         if cfg.dt is not None:
             limit = stable_dt(self.grid, cfg.mu, 1.0, q)
@@ -450,19 +449,12 @@ class AxisymSolver:
         self.pressure = p
         self.t += dt
         self.step_count += 1
-        if self.step_count % cfg.snapshot_every == 0:
-            self._push_snapshot()
-
-    def _push_snapshot(self) -> None:
-        self.history.push(self.t, self.state.copy(), self.pressure.copy())
 
     def record_diagnostics(self) -> DiagnosticsRecord:
-        from .fields import boundary_max, max_rspeed, max_speed
-
         q, (qr, qz) = max_speed(self.state)
         rsp, _ = max_rspeed(self.state)
         rvt = float(np.max(self.grid.r[:, None] * np.abs(self.state.vtheta)))
-        rec = DiagnosticsRecord(
+        return DiagnosticsRecord(
             step=self.step_count,
             t=self.t,
             q=q,
@@ -474,16 +466,17 @@ class AxisymSolver:
             max_divergence=float(np.max(np.abs(divergence(self.state).values))),
             boundary_max=boundary_max(self.state),
         )
-        self.diagnostics.append(rec)
-        return rec
 
-    def run(self, t_end: float | None = None, diagnostics_every: int = 1) -> None:
-        t_end = self.config.t_end if t_end is None else t_end
-        self.record_diagnostics()
+    def run(self, t_end: float, on_snapshot=None, on_diagnostics=None) -> None:
+        """Step until ``t_end``, calling ``on_diagnostics(record)`` after every step
+        and ``on_snapshot(self)`` when the step count is a multiple of
+        ``config.snapshot_every``.  The caller reports the state it starts from."""
         while self.t < t_end - 1e-14:
             self.step()
-            if diagnostics_every and self.step_count % diagnostics_every == 0:
-                self.record_diagnostics()
+            if on_diagnostics is not None:
+                on_diagnostics(self.record_diagnostics())
+            if on_snapshot is not None and self.step_count % self.config.snapshot_every == 0:
+                on_snapshot(self)
 
 
 # ---------------------------------------------------------------------------

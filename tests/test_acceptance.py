@@ -51,10 +51,11 @@ def lamb_oseen_runs():
     out = {}
     for n in (128, 256):
         start = time.perf_counter()
-        solver, err = lamb_oseen_run(
-            n, n, 0.5, snapshot_every=500, projection_tol=PROJECTION_TOL
+        hist = SnapshotHistory()
+        _, err = lamb_oseen_run(
+            n, n, 0.5, snapshot_every=500, projection_tol=PROJECTION_TOL, history=hist
         )
-        out[n] = {"solver": solver, "err": err, "seconds": time.perf_counter() - start}
+        out[n] = {"history": hist, "err": err, "seconds": time.perf_counter() - start}
     return out
 
 
@@ -66,8 +67,9 @@ def ring_history():
     hist = SnapshotHistory()
     cfg = SolverConfig(cfl=0.4, t_end=1.0, snapshot_every=50,
                        projection_tol=PROJECTION_TOL)
-    solver = AxisymSolver(initial, cfg, history=hist)
-    solver.run(1.0)
+    solver = AxisymSolver(initial, cfg)
+    hist.record(solver)
+    solver.run(1.0, on_snapshot=hist.record)
     return hist
 
 
@@ -95,9 +97,9 @@ def trend_runs():
             generate(spec, grid),
             SolverConfig(cfl=0.4, t_end=0.15, snapshot_every=8,
                          projection_tol=PROJECTION_TOL),
-            history=hist,
         )
-        solver.run(0.15)
+        hist.record(solver)
+        solver.run(0.15, on_snapshot=hist.record)
         runs.append(microscope_report(hist, cfg_m))
     return runs
 
@@ -151,7 +153,7 @@ def test_divergence_and_energy_on_ring(ring_history):
 
 
 def test_zoom_covariance_of_residuals(lamb_oseen_runs):
-    hist = lamb_oseen_runs[256]["solver"].history
+    hist = lamb_oseen_runs[256]["history"]
     assert len(hist) >= 3
     rep = check_scaling_covariance(hist, lam=2.0, mu=1.0)
     ratio = rep["measured"]
@@ -231,8 +233,9 @@ def test_short_time_bound_on_shipped_configs():
         grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max,
                          cfg.grid.z_min, cfg.grid.z_max)
         hist = SnapshotHistory()
-        solver = AxisymSolver(generate(cfg.data, grid), cfg.solver, history=hist)
-        solver.run(cfg.solver.t_end)
+        solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
+        hist.record(solver)
+        solver.run(cfg.solver.t_end, on_snapshot=hist.record)
         rep = check_short_time_bound(hist, cfg.data.n0, cfg.invariants.h0)
         good = rep["pass"] and rep["empirical_h0"] > 0
         ok = ok and good

@@ -1,0 +1,40 @@
+"""The benchmark's spans wrap the program from outside (perfbench/spans.py).
+
+A refactor that calls around a wrapped name would make the benchmark's
+per-layer counts silently wrong; this test sees that in the fast suite.
+"""
+import sys
+from collections import Counter
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+
+from axiswirl.cli import main  # noqa: E402
+
+
+def test_spans_see_every_step_diagnostics_row_and_snapshot_of_a_simulate(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "grid:\n  nr: 16\n  nz: 16\n"
+        "solver:\n  dt: 1e-3\n  t_end: 6e-3\n  snapshot_every: 2\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    timer = spans.SetupTimer("solver")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["simulate", "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+        timer.close()
+    calls = Counter(name for name, _t0, _t1, _parent in tracer.spans)
+    assert calls["solver.step"] == 6
+    # the starting state and every step
+    assert calls["solver.record_diagnostics"] == 7
+    # steps 0, 2, 4 and 6
+    assert calls["fields.write_snapshot"] == 4
+    assert calls["initial.generate"] == 1
+    assert timer.total > 0

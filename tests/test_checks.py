@@ -14,7 +14,7 @@ from axiswirl.checks import (
     run_invariant_suite,
 )
 from axiswirl.fields import AxisymField, ScalarField, SnapshotHistory, make_grid
-from axiswirl.initial import lamb_oseen_field
+from axiswirl.initial import DataSpec, generate, lamb_oseen_field
 from axiswirl.solver import kinetic_energy
 
 
@@ -153,21 +153,22 @@ def test_rescale_sequence_lambda_one_is_identity(grid16):
     assert out.times[0] == pytest.approx(0.3)
 
 
-def test_rescale_sequence_integer_lambda_exact_on_nodes(grid16):
-    # lam=2 with node counts kept: new node k sits at old node 2k, so the
-    # resampled swirl is exactly lam * vtheta[2k]
-    fld = _swirl(grid16, 1.0)
-    hist = _hist(grid16, [fld], [0.4])
-    out = rescale_snapshot_sequence(hist, 2.0)
-    got = out.snapshots[0].field.vtheta
-    assert got.shape == fld.vtheta.shape
-    # spot-check a few nodes directly against the analytic map
-    gg = out.snapshots[0].field.grid
-    for i, j in [(3, 4), (7, 2), (5, 8)]:
-        r_new, z_new = gg.r[i], gg.z[j]
-        v_old = np.interp(2 * r_new, fld.grid.r, fld.vtheta[:, 0])
-        assert got[i, j] == pytest.approx(2.0 * v_old, rel=1e-12)
-    assert out.times[0] == pytest.approx(0.1)
+@pytest.mark.parametrize("lam", [2.0, 1.7, 3.3])
+def test_rescale_sequence_exact_on_nodes(grid16, lam):
+    # the zoomed grid keeps the node counts with extents divided by lam, so lam
+    # times its node (i, j) is the original node (i, j) for any lam: the zoomed
+    # sequence is lam*v, lam^2*p at time t/lam^2, exactly
+    fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0, ring_r=1.0, core_radius=0.3),
+                   grid16)
+    p = np.sin(grid16.r)[:, None] * np.cos(grid16.z)[None, :]
+    hist = _hist(grid16, [fld], [0.4], [ScalarField(grid16, p, role="pressure")])
+    (snap,) = rescale_snapshot_sequence(hist, lam)
+    g = grid16
+    assert snap.field.grid == make_grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
+    for name in ("vr", "vtheta", "vz"):
+        assert np.all(getattr(snap.field, name) == lam * getattr(fld, name))
+    assert np.all(snap.pressure.values == lam**2 * p)
+    assert snap.t == 0.4 / lam**2
 
 
 def test_scaling_covariance_constant_axial_flow(grid32):

@@ -10,14 +10,13 @@ from axiswirl.fields import (
     apply_axis_conditions,
     bilinear_sample,
     boundary_max,
-    cylindrical_frame,
     divergence,
     make_grid,
     max_rspeed,
     max_speed,
     read_snapshot,
-    reconstruct_cartesian,
     reconstruct_cartesian_many,
+    sample_components,
     write_snapshot,
 )
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_peak
@@ -121,42 +120,57 @@ def test_divergence_stream_function_refines_second_order():
 # cylindrical frame and Cartesian reconstruction
 # ---------------------------------------------------------------------------
 
+def _unit_component_fields(grid):
+    """Three fields with one unit cylindrical component each: (e_r, e_theta, e_z)."""
+    fields = [AxisymField.zeros(grid) for _ in range(3)]
+    fields[0].vr[:] = 1.0
+    fields[1].vtheta[:] = 1.0
+    fields[2].vz[:] = 1.0
+    return fields
+
+
 def test_frame_orthonormality_random_points():
+    # the reconstruction of a unit e_r, e_theta or e_z field is that frame vector
     rng = np.random.default_rng(7)
     pts = rng.uniform(-3.0, 3.0, size=(10_000, 3))
-    keep = np.hypot(pts[:, 0], pts[:, 1]) > 1e-6
-    for x in pts[keep]:
-        e = np.stack(cylindrical_frame(x))
-        np.testing.assert_allclose(e @ e.T, np.eye(3), atol=1e-12)
+    pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-6]
+    grid = make_grid(8, 8, 5.0, -3.0, 3.0)
+    e = np.stack([reconstruct_cartesian_many(f, pts) for f in _unit_component_fields(grid)],
+                 axis=1)
+    gram = np.einsum("nij,nkj->nik", e, e)
+    np.testing.assert_allclose(gram, np.broadcast_to(np.eye(3), gram.shape), atol=1e-12)
 
 
 def test_frame_rejects_axis_point():
-    with pytest.raises(ValueError):
-        cylindrical_frame(np.array([0.0, 0.0, 1.0]))
+    # the frame is undefined on the axis: there the horizontal components are
+    # dropped, not divided by r = 0, even where the data do not vanish
+    grid = make_grid(8, 8, 5.0, -3.0, 3.0)
+    pts = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
+    for k, fld in enumerate(_unit_component_fields(grid)):
+        np.testing.assert_array_equal(reconstruct_cartesian_many(fld, pts),
+                                      [[0.0, 0.0, float(k == 2)]] * 2)
 
 
 def test_reconstruct_rigid_rotation(grid16):
     fld = rigid_rotation(grid16, omega=0.5)
-    v = reconstruct_cartesian(fld, np.array([1.0, 0.0, 0.0]))
-    np.testing.assert_allclose(v, [0.0, 0.5, 0.0], atol=1e-12)
-    v = reconstruct_cartesian(fld, np.array([0.0, 1.0, 0.0]))
-    np.testing.assert_allclose(v, [-0.5, 0.0, 0.0], atol=1e-12)
+    v = reconstruct_cartesian_many(fld, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    np.testing.assert_allclose(v, [[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0]], atol=1e-12)
 
 
 def test_reconstruct_constant_axial_flow(grid16):
     fld = AxisymField.zeros(grid16)
     fld.vz[:] = 2.5
-    for x in ([0.3, 0.4, 0.2], [0.0, 0.0, -0.5], [1.0, -1.0, 0.9]):
-        v = reconstruct_cartesian(fld, np.array(x))
-        np.testing.assert_allclose(v, [0.0, 0.0, 2.5], atol=1e-12)
+    pts = np.array([[0.3, 0.4, 0.2], [0.0, 0.0, -0.5], [1.0, -1.0, 0.9]])
+    v = reconstruct_cartesian_many(fld, pts)
+    np.testing.assert_allclose(v, [[0.0, 0.0, 2.5]] * 3, atol=1e-12)
 
 
 def test_reconstruct_out_of_domain_raises(grid16):
     fld = AxisymField.zeros(grid16)
     with pytest.raises(OutOfDomainError):
-        reconstruct_cartesian(fld, np.array([5.0, 0.0, 0.0]))
+        reconstruct_cartesian_many(fld, np.array([[5.0, 0.0, 0.0]]))
     with pytest.raises(OutOfDomainError):
-        reconstruct_cartesian(fld, np.array([0.5, 0.0, 3.0]))
+        reconstruct_cartesian_many(fld, np.array([[0.5, 0.0, 3.0]]))
 
 
 def test_reconstruct_rotation_invariance(ring_field):
@@ -176,12 +190,17 @@ def test_reconstruct_rotation_invariance(ring_field):
 
 
 def test_reconstruct_many_matches_single(ring_field):
+    # each row is vr e_r + vtheta e_theta + vz e_z, built point by point
     rng = np.random.default_rng(11)
     pts = np.stack([rng.uniform(0.1, 2.5, 20), rng.uniform(-2.0, 2.0, 20),
                     rng.uniform(-3.0, 3.0, 20)], axis=1)
     many = reconstruct_cartesian_many(ring_field, pts)
-    for k, x in enumerate(pts):
-        np.testing.assert_allclose(many[k], reconstruct_cartesian(ring_field, x), atol=1e-12)
+    for k, (x1, x2, z) in enumerate(pts):
+        r = np.hypot(x1, x2)
+        vr, vtheta, vz = (float(c) for c in sample_components(ring_field, r, z))
+        e_r, e_theta = np.array([x1 / r, x2 / r, 0.0]), np.array([-x2 / r, x1 / r, 0.0])
+        expected = vr * e_r + vtheta * e_theta + np.array([0.0, 0.0, vz])
+        np.testing.assert_allclose(many[k], expected, atol=1e-12)
 
 
 def test_bilinear_sample_exact_on_bilinear_data(grid16):
@@ -275,15 +294,6 @@ def test_history_requires_increasing_times(grid16):
         h.push(0.0, AxisymField.zeros(grid16), p)
 
 
-def test_history_capacity_evicts_oldest(grid16):
-    h = SnapshotHistory(capacity=3)
-    p = ScalarField(grid16, np.zeros(grid16.shape), role="pressure")
-    for k in range(5):
-        h.push(float(k), AxisymField.zeros(grid16), p)
-    assert len(h) == 3
-    np.testing.assert_allclose(h.times, [2.0, 3.0, 4.0])
-
-
 # ---------------------------------------------------------------------------
 # snapshot files
 # ---------------------------------------------------------------------------
@@ -300,6 +310,20 @@ def test_snapshot_roundtrip(tmp_path, ring_field):
     np.testing.assert_array_equal(fld.vtheta, ring_field.vtheta)
     np.testing.assert_array_equal(fld.vz, ring_field.vz)
     np.testing.assert_array_equal(pr.values, p.values)
+
+
+def test_failed_snapshot_write_leaves_previous_file(tmp_path, ring_field):
+    path = tmp_path / "snap_00000004.bin"
+    p = ScalarField(ring_field.grid, np.zeros(ring_field.grid.shape), role="pressure")
+    write_snapshot(path, 0.5, ring_field, p)
+    before = path.read_bytes()
+    # the pressure cannot be converted, so the write fails after the velocity
+    # arrays have gone out
+    bad = ScalarField(ring_field.grid, np.full(ring_field.grid.shape, "x"), role="pressure")
+    with pytest.raises(ValueError):
+        write_snapshot(path, 0.75, AxisymField.zeros(ring_field.grid), bad)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_snapshot_bad_magic(tmp_path, grid16):

@@ -338,6 +338,14 @@ def test_projection_gives_up_after_max_iter_on_incompatible_flux(monkeypatch):
     assert op._lu.solves - before == op.max_iter
 
 
+def test_projection_setup_makes_no_factor_solve(monkeypatch, grid16):
+    # the preconditioner declares its dtype, so scipy does not call the factor
+    # on a zero vector to find it out
+    _count_factor_solves(monkeypatch)
+    op = ProjectionOperator(grid16)
+    assert op._lu.solves == 0
+
+
 def test_projection_operator_is_freed_without_cycle_collection(grid16):
     # a reference cycle would keep each factor alive until the cyclic
     # collector happens to run, so that two solvers' factors coexist
@@ -459,10 +467,9 @@ def test_step_lamb_oseen_convergence_small():
 
 
 def test_step_energy_decays():
-    solver, _ = lamb_oseen_run(32, 32, 0.05, r_max=4.0, z_half=4.0)
-    recs = solver.diagnostics
-    solver.record_diagnostics()
-    e0 = kinetic_energy(solver.history.snapshots[0].field)
+    hist = SnapshotHistory()
+    solver, _ = lamb_oseen_run(32, 32, 0.05, r_max=4.0, z_half=4.0, history=hist)
+    e0 = kinetic_energy(hist.snapshots[0].field)
     e1 = kinetic_energy(solver.state)
     assert e1 < e0
     # oracle: the analytic profile at the two times gives the same drop
@@ -476,14 +483,27 @@ def test_step_energy_decays():
 
 
 def test_snapshot_cadence(grid16):
+    # run reports a snapshot after steps 3 and 6 and diagnostics after every
+    # step; the starting state is the caller's to report, and the solver
+    # itself keeps neither
+    hist, steps = SnapshotHistory(), []
+    solver = AxisymSolver(AxisymField.zeros(grid16), SolverConfig(dt=1e-3, snapshot_every=3))
+    solver.run(7e-3, on_snapshot=hist.record, on_diagnostics=lambda rec: steps.append(rec.step))
+    assert solver.step_count == 7
+    assert steps == [1, 2, 3, 4, 5, 6, 7]
+    np.testing.assert_allclose(hist.times, [3e-3, 6e-3])
+    assert not hasattr(solver, "history") and not hasattr(solver, "diagnostics")
+
+
+def test_history_record_keeps_a_copy(grid16):
+    solver = AxisymSolver(rigid_rotation(grid16), SolverConfig(dt=1e-3))
     hist = SnapshotHistory()
-    solver = AxisymSolver(AxisymField.zeros(grid16),
-                          SolverConfig(cfl=0.4, t_end=1.0, snapshot_every=3),
-                          history=hist)
-    for _ in range(7):
-        solver.step()
-    # initial push plus steps 3 and 6
-    assert len(hist) == 3
+    hist.record(solver)
+    kept = hist.snapshots[0]
+    assert kept.field is not solver.state and kept.pressure is not solver.pressure
+    np.testing.assert_array_equal(kept.field.vtheta, solver.state.vtheta)
+    solver.state.vtheta[:] = 0.0
+    assert np.any(kept.field.vtheta != 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -529,8 +549,8 @@ def test_mms_residual_analytic_snapshots_refine():
 def test_mms_residual_solver_snapshots_refine():
     norms = []
     for n in (32, 64):
-        solver, _ = lamb_oseen_run(n, n, 0.02, r_max=4.0, z_half=4.0, snapshot_every=1)
-        hist = solver.history
+        hist = SnapshotHistory()
+        lamb_oseen_run(n, n, 0.02, r_max=4.0, z_half=4.0, snapshot_every=1, history=hist)
         window = (hist.times[-4], hist.times[-1])
         norms.append(mms_residual(hist, window=window)["vtheta"]["l2"])
     assert norms[0] / norms[1] > 3.0
