@@ -59,8 +59,12 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
 
-    # snapshots and diagnostics go to disk as the solver reports them
-    existing = _snapshot_paths(outdir) if resume else []
+    # snapshots and diagnostics go to disk as the solver reports them; a fresh
+    # run first removes the snapshots of any earlier run in its directory
+    if not resume:
+        for path in _snapshot_paths(outdir):
+            path.unlink()
+    existing = _snapshot_paths(outdir)
     if existing:
         t0, fld, _ = read_snapshot(existing[-1])
         step0 = int(existing[-1].stem.split("_")[1])
@@ -88,7 +92,11 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
         if not existing:
             emit(solver.record_diagnostics())
             dump_snapshot(solver)
+        start = solver.step_count
         solver.run(cfg.solver.t_end, on_snapshot=dump_snapshot, on_diagnostics=emit)
+        # the end state goes to disk also off the snapshot cadence
+        if solver.step_count != start and solver.step_count % cfg.solver.snapshot_every:
+            dump_snapshot(solver)
     return 0
 
 
@@ -127,9 +135,13 @@ def run_validate(cfg: RunConfig) -> int:
           f"{'PASS' if bounds['pass'] else 'FAIL'}")
     ok = bounds["pass"]
 
-    # every snapshot of the run stays in memory for the suite
+    # the convergence study first: its solvers are freed before the run builds its own
+    conv = lamb_oseen_convergence((32, 64), t_end=0.1)
+
+    # the state after every step stays in memory for the suite, whatever the
+    # snapshot cadence: its tolerances are per step
     history = SnapshotHistory()
-    solver = AxisymSolver(initial, cfg.solver)
+    solver = AxisymSolver(initial, dataclasses.replace(cfg.solver, snapshot_every=1))
     history.record(solver)
     solver.run(cfg.solver.t_end, on_snapshot=history.record)
     reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants,
@@ -141,7 +153,6 @@ def run_validate(cfg: RunConfig) -> int:
         if rep["name"] == "short_time_bound":
             print(f"  empirical_h0={rep['empirical_h0']:.6g}")
 
-    conv = lamb_oseen_convergence((32, 64), t_end=0.1)
     ratio = conv["ratios"][0]
     conv_ok = 3.0 <= ratio <= 5.0
     print(f"lamb_oseen_convergence: errors={['%.3e' % e for e in conv['errors']]} "

@@ -1,9 +1,14 @@
 """Time integration of the axisymmetric Navier-Stokes system with swirl.
 
-Explicit Heun (RK2) on the pressure-free momentum tendencies, with a pressure
-projection after each stage.  The projection uses the discrete-adjoint gradient
-of the divergence operator, so the post-projection divergence equals the
-Poisson solve residual (times dt) at every node, boundary rows included.
+IMEX Runge-Kutta (Ascher, Ruuth & Spiteri 1997, the L-stable (2,2,2) scheme):
+advection and the curvature terms are explicit, the viscous terms implicit,
+with a pressure projection after each stage.  The implicit solves are exact:
+each viscous operator is a sum of a radial and an axial 1D operator, and both
+are diagonalised once per grid (Lynch, Rice & Thomas 1964).  With no viscous
+stability limit, dt is set by the advective CFL alone.  The projection uses
+the discrete-adjoint gradient of the divergence operator, so the
+post-projection divergence equals the Poisson solve residual (times the
+stage's time increment) at every node, boundary rows included.
 
 Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
 """
@@ -162,6 +167,14 @@ def diffuse_plain(f: ScalarField) -> ScalarField:
     return ScalarField(g, out, role="generic")
 
 
+def viscous_terms(state: AxisymField) -> AxisymField:
+    """The viscous tendencies per unit viscosity: (Lap - 1/r^2) applied to vr
+    and vtheta, Lap applied to vz; zero on every boundary row but vz's axis row."""
+    g = state.grid
+    return AxisymField(g, *(diffuse(ScalarField(g, f)).values for diffuse, f in (
+        (diffuse_swirllike, state.vr), (diffuse_swirllike, state.vtheta), (diffuse_plain, state.vz))))
+
+
 def momentum_rhs(state: AxisymField, mu: float = 1.0) -> AxisymField:
     """Pressure-free tendencies of the three momentum equations.
 
@@ -169,34 +182,29 @@ def momentum_rhs(state: AxisymField, mu: float = 1.0) -> AxisymField:
     vtheta: -b.grad vtheta - vr vtheta/r     + mu (Lap - 1/r^2) vtheta
     vz:     -b.grad vz                       + mu Lap vz
     The curvature source terms vanish at the axis (both factors are odd).
+    With mu = 0 this is the explicit part of the IMEX step, and the viscous
+    terms are not evaluated.
     """
     g = state.grid
     rinv = np.zeros(g.nr + 1)
     rinv[1:] = 1.0 / g.r[1:]
     rinv = rinv[:, None]
 
-    rhs_vr = (
-        -advect(state, ScalarField(g, state.vr), parity=-1).values
-        + state.vtheta**2 * rinv
-        + mu * diffuse_swirllike(ScalarField(g, state.vr)).values
-    )
-    rhs_vt = (
-        -advect(state, ScalarField(g, state.vtheta), parity=-1).values
-        - state.vr * state.vtheta * rinv
-        + mu * diffuse_swirllike(ScalarField(g, state.vtheta)).values
-    )
-    rhs_vz = (
-        -advect(state, ScalarField(g, state.vz), parity=1).values
-        + mu * diffuse_plain(ScalarField(g, state.vz)).values
-    )
+    rhs_vr = -advect(state, ScalarField(g, state.vr), parity=-1).values + state.vtheta**2 * rinv
+    rhs_vt = (-advect(state, ScalarField(g, state.vtheta), parity=-1).values
+              - state.vr * state.vtheta * rinv)
+    rhs_vz = -advect(state, ScalarField(g, state.vz), parity=1).values
+    out = AxisymField(g, rhs_vr, rhs_vt, rhs_vz)
+    if mu:
+        out = _combine((1.0, out), (mu, viscous_terms(state)))
     # boundary rows are pinned by the boundary conditions
-    for arr in (rhs_vr, rhs_vt, rhs_vz):
+    for arr in (out.vr, out.vtheta, out.vz):
         arr[-1, :] = 0.0
         arr[:, 0] = 0.0
         arr[:, -1] = 0.0
-    rhs_vr[0, :] = 0.0
-    rhs_vt[0, :] = 0.0
-    return AxisymField(g, rhs_vr, rhs_vt, rhs_vz)
+    out.vr[0, :] = 0.0
+    out.vtheta[0, :] = 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +350,91 @@ class ProjectionOperator:
 # time stepping
 # ---------------------------------------------------------------------------
 
-def stable_dt(g: Grid, mu: float, cfl: float, qmax: float) -> float:
-    """Advective CFL combined with the explicit-diffusion limit (Heun region)."""
-    h = min(g.dr, g.dz)
-    dt_adv = cfl * h / max(1.0, qmax)
-    # Heun's real-axis stability interval is [-2, 0]; 0.35 leaves a 1.4x margin
-    dt_diff = 0.35 / (2.0 * mu * (1.0 / g.dr**2 + 1.0 / g.dz**2))
-    return min(dt_adv, dt_diff)
+def stable_dt(g: Grid, cfl: float, qmax: float) -> float:
+    """Advective CFL step; the implicit viscous terms set no limit."""
+    return cfl * min(g.dr, g.dz) / max(1.0, qmax)
+
+
+def _radial_operator(g: Grid, swirllike: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The radial part of diffuse_swirllike on rows 1..nr-1, or of diffuse_plain
+    on rows 0..nr-1 (axis row 4 (f1 - f0)/dr^2), as a matrix acting on those
+    rows, with the volume weights (r_i, and dr/8 on the axis row) under which
+    it is symmetric: diag(w) A couples rows i and i+1 by r_{i+1/2}/dr^2."""
+    dr, r = g.dr, g.r[1:-1]
+    main = np.full(r.shape, -2.0 / dr**2) - (1.0 / r**2 if swirllike else 0.0)
+    up = 1.0 / dr**2 + 1.0 / (2 * dr * r)  # coefficient of f_{i+1} in row i
+    down = 1.0 / dr**2 - 1.0 / (2 * dr * r)  # coefficient of f_{i-1} in row i
+    w = r
+    if not swirllike:
+        main, up, down, w = (np.r_[-4.0 / dr**2, main], np.r_[4.0 / dr**2, up],
+                             np.r_[0.0, down], np.r_[dr / 8.0, r])
+    return sp.diags([down[1:], main, up[:-1]], [-1, 0, 1]).toarray(), w
+
+
+def _axial_operator(g: Grid, neumann: bool) -> np.ndarray:
+    """d_zz on the nodes strictly inside the z ends, with Dirichlet ends or
+    with ends that copy their neighbour (zero normal gradient)."""
+    n = g.nz - 1
+    A = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).toarray() / g.dz**2
+    if neumann:
+        A[0, 0] = A[-1, -1] = -1.0 / g.dz**2
+    return A
+
+
+def _diagonalise(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, w, lam) with A = V diag(lam) V^-1 and V^-1 = V^T diag(w), for A
+    symmetric under the weights w (diag(w) A symmetric): from the orthogonal
+    eigenvectors Q of W^1/2 A W^-1/2, V = W^-1/2 Q."""
+    s = np.sqrt(w)
+    S = A * (s[:, None] / s[None, :])
+    lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+    return Q / s[:, None], w, lam
+
+
+class HelmholtzSolver:
+    """Exact solves of (I - c L) U = B, L being diffuse_swirllike (vr, vtheta)
+    or diffuse_plain (vz) on the nodes no boundary condition fixes (vz's axis
+    row is one of them); ``neumann_swirl`` gives vtheta z ends that copy their
+    neighbour.  L X = R X + X Z^T on the nodal array X, so with R = V_r
+    diag(lr) V_r^-1 and Z = V_z diag(lz) V_z^-1 the solve is
+    X = V_r [(V_r^-1 B V_z^-T) / (1 - c (lr_i + lz_j))] V_z^T.  The
+    decompositions are made once, at construction; only the denominator depends on c.
+    """
+
+    def __init__(self, grid: Grid, neumann_swirl: bool):
+        swirl = _diagonalise(*_radial_operator(grid, swirllike=True))
+        plain = _diagonalise(*_radial_operator(grid, swirllike=False))
+        ones = np.ones(grid.nz - 1)
+        dirichlet = _diagonalise(_axial_operator(grid, neumann=False), ones)
+        neumann = (_diagonalise(_axial_operator(grid, neumann=True), ones)
+                   if neumann_swirl else dirichlet)
+        # per component: radial and axial decompositions, first unknown row
+        self._ops = {"vr": (swirl, dirichlet, 1), "vtheta": (swirl, neumann, 1),
+                     "vz": (plain, dirichlet, 0)}
+
+    def solve(self, rhs: AxisymField, bounded: AxisymField, c: float) -> AxisymField:
+        """U with (I - c L) U = rhs on the unknown nodes and U = ``bounded`` on
+        the others; ``bounded`` is rhs with the boundary conditions applied."""
+        lap = viscous_terms(bounded)
+        out = bounded.copy()
+        for name, ((vr_, wr, lr), (vz_, wz, lz), lo) in self._ops.items():
+            unk = (slice(lo, -1), slice(1, -1))
+            # the correction to ``bounded`` vanishes on the fixed nodes
+            b = (getattr(rhs, name) - getattr(bounded, name) + c * getattr(lap, name))[unk]
+            y = (vr_.T @ (wr[:, None] * b * wz) @ vz_) / (1.0 - c * (lr[:, None] + lz))
+            getattr(out, name)[unk] += vr_ @ y @ vz_.T
+        return out
+
+
+# ARS(2,2,2): implicit diagonal GAMMA, explicit weight DELTA on the first stage
+GAMMA = 1.0 - 1.0 / np.sqrt(2.0)
+DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
+
+
+def _combine(*terms: tuple[float, AxisymField]) -> AxisymField:
+    """The linear combination sum(a * field) of velocity fields."""
+    return AxisymField(terms[0][1].grid, *(
+        sum(a * getattr(f, name) for a, f in terms) for name in ("vr", "vtheta", "vz")))
 
 
 @dataclass
@@ -378,15 +464,15 @@ class AxisymSolver:
         self.projection = ProjectionOperator(
             self.grid, tol=config.projection_tol, max_iter=config.poisson_max_iter
         )
+        # built after the factorisation, whose transient peak it would raise
+        self.helmholtz = HelmholtzSolver(self.grid, neumann_swirl=config.boundary == "hold")
         self.pressure = ScalarField(self.grid, np.zeros(self.grid.shape), role="pressure")
         self._held = None
         if config.boundary == "hold":
-            s = self.state
-            self._held = {
-                "vr": (s.vr[-1, :].copy(), s.vr[:, 0].copy(), s.vr[:, -1].copy()),
-                "vtheta": (s.vtheta[-1, :].copy(), s.vtheta[:, 0].copy(), s.vtheta[:, -1].copy()),
-                "vz": (s.vz[-1, :].copy(), s.vz[:, 0].copy(), s.vz[:, -1].copy()),
-            }
+            # per component: the r = r_max row and the z_min and z_max columns
+            self._held = {name: (a[-1, :].copy(), a[:, 0].copy(), a[:, -1].copy())
+                          for name, a in (("vr", self.state.vr), ("vtheta", self.state.vtheta),
+                                          ("vz", self.state.vz))}
         self.state = self._apply_bcs(self.state)
         # clean the initial divergence so every reported state is projected
         self.state, _ = self.projection.project(self.state, 1.0)
@@ -400,10 +486,7 @@ class AxisymSolver:
                 arr[:, -1] = 0.0
         else:
             for name, arr in (("vr", out.vr), ("vz", out.vz)):
-                outer, lo, hi = self._held[name]
-                arr[-1, :] = outer
-                arr[:, 0] = lo
-                arr[:, -1] = hi
+                arr[-1, :], arr[:, 0], arr[:, -1] = self._held[name]
             # swirl: hold the lateral profile, zero normal gradient in z so a
             # z-independent far field can keep decaying in time
             out.vtheta[-1, :] = self._held["vtheta"][0]
@@ -415,33 +498,29 @@ class AxisymSolver:
         cfg = self.config
         q, _ = max_speed(self.state)
         if cfg.dt is not None:
-            limit = stable_dt(self.grid, cfg.mu, 1.0, q)
+            limit = stable_dt(self.grid, 1.0, q)
             if cfg.dt > limit * 1.0001:
                 raise ValueError(
                     f"dt={cfg.dt} violates the stability limit {limit:.3e} at t={self.t:.6g}"
                 )
             return cfg.dt
-        return stable_dt(self.grid, cfg.mu, cfg.cfl, q)
+        return stable_dt(self.grid, cfg.cfl, q)
 
-    def step(self) -> None:
-        cfg = self.config
-        dt = self.current_dt()
+    def _stage(self, rhs: AxisymField, dt: float, increment: float):
+        """Solve (I - GAMMA dt mu L) U = rhs, apply the BCs, project over ``increment``."""
+        u = self.helmholtz.solve(rhs, self._apply_bcs(rhs), GAMMA * dt * self.config.mu)
+        return self.projection.project(self._apply_bcs(u), increment)
+
+    def step(self, dt: float | None = None) -> None:
+        """One ARS(2,2,2) step of ``dt`` (by default ``current_dt()``)."""
+        dt = self.current_dt() if dt is None else dt
         u = self.state
-        k1 = momentum_rhs(u, cfg.mu)
-        u1 = AxisymField(self.grid, u.vr + dt * k1.vr, u.vtheta + dt * k1.vtheta,
-                         u.vz + dt * k1.vz)
-        u1 = self._apply_bcs(u1)
-        u1, _ = self.projection.project(u1, dt)
-
-        k2 = momentum_rhs(u1, cfg.mu)
-        u2 = AxisymField(
-            self.grid,
-            u.vr + 0.5 * dt * (k1.vr + k2.vr),
-            u.vtheta + 0.5 * dt * (k1.vtheta + k2.vtheta),
-            u.vz + 0.5 * dt * (k1.vz + k2.vz),
-        )
-        u2 = self._apply_bcs(u2)
-        u2, p = self.projection.project(u2, dt)
+        e0 = momentum_rhs(u, 0.0)
+        u1, _ = self._stage(_combine((1.0, u), (GAMMA * dt, e0)), dt, GAMMA * dt)
+        e1 = momentum_rhs(u1, 0.0)
+        rhs = _combine((1.0, u), (DELTA * dt, e0), ((1.0 - DELTA) * dt, e1),
+                       ((1.0 - GAMMA) * dt * self.config.mu, viscous_terms(u1)))
+        u2, p = self._stage(rhs, dt, dt)
 
         if not u2.is_finite():
             raise UnstableError(f"non-finite state at t={self.t + dt:.6g}", self.t + dt)
@@ -468,11 +547,12 @@ class AxisymSolver:
         )
 
     def run(self, t_end: float, on_snapshot=None, on_diagnostics=None) -> None:
-        """Step until ``t_end``, calling ``on_diagnostics(record)`` after every step
-        and ``on_snapshot(self)`` when the step count is a multiple of
-        ``config.snapshot_every``.  The caller reports the state it starts from."""
+        """Step until ``t_end``, the last step shortened to land on it, calling
+        ``on_diagnostics(record)`` after every step and ``on_snapshot(self)`` when
+        the step count is a multiple of ``config.snapshot_every``.  The caller
+        reports the state it starts from."""
         while self.t < t_end - 1e-14:
-            self.step()
+            self.step(min(self.current_dt(), t_end - self.t))
             if on_diagnostics is not None:
                 on_diagnostics(self.record_diagnostics())
             if on_snapshot is not None and self.step_count % self.config.snapshot_every == 0:

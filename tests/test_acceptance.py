@@ -53,7 +53,7 @@ def lamb_oseen_runs():
         start = time.perf_counter()
         hist = SnapshotHistory()
         _, err = lamb_oseen_run(
-            n, n, 0.5, snapshot_every=500, projection_tol=PROJECTION_TOL, history=hist
+            n, n, 0.5, snapshot_every=4, projection_tol=PROJECTION_TOL, history=hist
         )
         out[n] = {"history": hist, "err": err, "seconds": time.perf_counter() - start}
     return out
@@ -65,7 +65,7 @@ def ring_history():
     grid = make_grid(128, 128, 4.0, -4.0, 4.0)
     initial = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), grid)
     hist = SnapshotHistory()
-    cfg = SolverConfig(cfl=0.4, t_end=1.0, snapshot_every=50,
+    cfg = SolverConfig(cfl=0.4, t_end=1.0, snapshot_every=1,
                        projection_tol=PROJECTION_TOL)
     solver = AxisymSolver(initial, cfg)
     hist.record(solver)
@@ -95,7 +95,7 @@ def trend_runs():
         hist = SnapshotHistory()
         solver = AxisymSolver(
             generate(spec, grid),
-            SolverConfig(cfl=0.4, t_end=0.15, snapshot_every=8,
+            SolverConfig(cfl=0.4, t_end=0.15, snapshot_every=2,
                          projection_tol=PROJECTION_TOL),
         )
         hist.record(solver)
@@ -248,7 +248,8 @@ def test_short_time_bound_on_shipped_configs():
 def test_pipeline_determinism(tmp_path):
     config_text = (
         "grid:\n  nr: 32\n  nz: 32\n  r_max: 4.0\n  z_min: -4.0\n  z_max: 4.0\n"
-        "solver:\n  cfl: 0.4\n  t_end: 0.1\n  snapshot_every: 4\n"
+        # a pinned step keeps 21 snapshots, so the microscope has rows to compare
+        "solver:\n  dt: 5e-3\n  t_end: 0.1\n  snapshot_every: 1\n"
         "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
         "microscope:\n  sigma0: 100.0\n"
     )

@@ -6,7 +6,10 @@ import pytest
 
 import axiswirl.cli
 from axiswirl.cli import DIAG_COLUMNS, MICRO_COLUMNS, main
-from axiswirl.fields import SnapshotHistory, read_snapshot
+from axiswirl.config import parse_config
+from axiswirl.fields import SnapshotHistory, make_grid, read_snapshot
+from axiswirl.initial import generate
+from axiswirl.solver import AxisymSolver
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -20,7 +23,9 @@ def _small_ring_config(tmp_path, outdir, extra=""):
     return _write(
         tmp_path / "run.yaml",
         "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
-        "solver:\n  cfl: 0.4\n  t_end: 0.02\n  snapshot_every: 2\n"
+        # dt pinned at the step the explicit scheme took, so the run keeps
+        # its 4 steps and 3 snapshot times
+        "solver:\n  dt: 5e-3\n  t_end: 0.02\n  snapshot_every: 2\n"
         "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
         f"output:\n  directory: {outdir}\n" + extra,
     )
@@ -109,11 +114,12 @@ def test_microscope_requires_snapshots(tmp_path):
 
 
 def test_microscope_single_snapshot_is_error(tmp_path):
+    # a run that takes no step leaves only its starting snapshot
     out = tmp_path / "out"
     cfg = _write(
         tmp_path / "run.yaml",
         "grid:\n  nr: 16\n  nz: 16\n"
-        "solver:\n  dt: 1e-4\n  t_end: 1e-4\n  snapshot_every: 1000\n"
+        "solver:\n  dt: 1e-4\n  t_end: 0.0\n  snapshot_every: 1000\n"
         f"output:\n  directory: {out}\n",
     )
     assert main(["simulate", "--config", cfg]) == 0
@@ -181,28 +187,73 @@ def test_resume_continues_from_last_snapshot(tmp_path):
     assert min(times) >= 4e-3 - 1e-12
 
 
-def test_resume_between_snapshots_keeps_each_step_once(tmp_path):
-    # the first run stops at step 5, after its last snapshot at step 4; the
-    # resumed run restarts from step 4, must not repeat step 5 and must not
-    # rewrite the snapshot it starts from
-    out = tmp_path / "out"
-    start = out / "snap_00000004.bin"
-    for t_end, extra in (("5e-3", []), ("9e-3", ["--resume"])):
-        cfg = _write(
-            tmp_path / "run.yaml",
-            "grid:\n  nr: 16\n  nz: 16\n"
-            f"solver:\n  dt: 1e-3\n  t_end: {t_end}\n  snapshot_every: 2\n"
-            f"output:\n  directory: {out}\n",
-        )
-        if extra:
-            before = (start.stat().st_ino, start.stat().st_mtime_ns, start.read_bytes())
-        assert main(["simulate", "--config", cfg, *extra]) == 0
-    assert (start.stat().st_ino, start.stat().st_mtime_ns, start.read_bytes()) == before
-    assert [p.name for p in sorted(out.glob("snap_*.bin"))] == [
-        f"snap_{k:08d}.bin" for k in (0, 2, 4, 6, 8)]
+def _resume_config(tmp_path, out, t_end):
+    return _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n"
+        f"solver:\n  dt: 1e-3\n  t_end: {t_end}\n  snapshot_every: 2\n"
+        f"output:\n  directory: {out}\n",
+    )
+
+
+def _steps_and_snapshots(out):
     rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
     step_col = DIAG_COLUMNS.index("step")
-    assert [int(r.split(",")[step_col]) for r in rows] == list(range(10))
+    return ([int(r.split(",")[step_col]) for r in rows],
+            [int(p.stem.split("_")[1]) for p in sorted(out.glob("snap_*.bin"))])
+
+
+def test_resume_between_snapshots_keeps_each_step_once(tmp_path):
+    # a run killed after step 5, before it wrote its end state, has rows up to
+    # step 5 and its last snapshot at step 4; the resumed run restarts from
+    # step 4, must not repeat step 5 and must not rewrite the snapshot it
+    # starts from
+    out = tmp_path / "out"
+    start = out / "snap_00000004.bin"
+    assert main(["simulate", "--config", _resume_config(tmp_path, out, "5e-3")]) == 0
+    (out / "snap_00000005.bin").unlink()
+    before = (start.stat().st_ino, start.stat().st_mtime_ns, start.read_bytes())
+    assert main(["simulate", "--config", _resume_config(tmp_path, out, "9e-3"), "--resume"]) == 0
+    assert (start.stat().st_ino, start.stat().st_mtime_ns, start.read_bytes()) == before
+    assert _steps_and_snapshots(out) == (list(range(10)), [0, 2, 4, 6, 8, 9])
+
+
+def test_resume_from_end_snapshot_off_cadence_keeps_each_step_once(tmp_path):
+    # the first run ends at step 5, off the cadence, and writes it; the
+    # resumed run starts there and ends at step 9, which it writes too
+    out = tmp_path / "out"
+    start = out / "snap_00000005.bin"
+    assert main(["simulate", "--config", _resume_config(tmp_path, out, "5e-3")]) == 0
+    assert _steps_and_snapshots(out) == (list(range(6)), [0, 2, 4, 5])
+    before = (start.stat().st_ino, start.stat().st_mtime_ns, start.read_bytes())
+    assert main(["simulate", "--config", _resume_config(tmp_path, out, "9e-3"), "--resume"]) == 0
+    assert (start.stat().st_ino, start.stat().st_mtime_ns, start.read_bytes()) == before
+    assert _steps_and_snapshots(out) == (list(range(10)), [0, 2, 4, 5, 6, 8, 9])
+
+
+def test_last_snapshot_is_the_end_state(tmp_path):
+    out = tmp_path / "out"
+    cfg = _resume_config(tmp_path, out, "5e-3")
+    assert main(["simulate", "--config", cfg]) == 0
+    t, fld, p = read_snapshot(sorted(out.glob("snap_*.bin"))[-1])
+    run = parse_config(Path(cfg).read_text(encoding="utf-8"))
+    g = run.grid
+    solver = AxisymSolver(generate(run.data, make_grid(g.nr, g.nz, g.r_max, g.z_min, g.z_max)),
+                          run.solver)
+    solver.run(run.solver.t_end)
+    assert solver.step_count == 5 and t == solver.t
+    for name in ("vr", "vtheta", "vz"):
+        np.testing.assert_array_equal(getattr(fld, name), getattr(solver.state, name))
+    np.testing.assert_array_equal(p.values, solver.pressure.values)
+
+
+def test_fresh_run_removes_snapshots_of_an_earlier_run(tmp_path):
+    # a short run after a longer one in the same directory: a later --resume
+    # or microscope must see only the short run's snapshots
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _resume_config(tmp_path, out, "9e-3")]) == 0
+    assert main(["simulate", "--config", _resume_config(tmp_path, out, "3e-3")]) == 0
+    assert _steps_and_snapshots(out) == ([0, 1, 2, 3], [0, 2, 3])
 
 
 def test_sweep_writes_summary(tmp_path):
@@ -245,6 +296,23 @@ def test_validate_exits_zero_on_good_config(tmp_path, capsys):
     assert "n0_bounds" in text and "PASS" in text and "FAIL" not in text
     assert "empirical_h0" in text
     assert "lamb_oseen_convergence" in text
+
+
+def test_validate_checks_every_step(tmp_path, capsys):
+    # 3 steps with snapshot_every 10: the suite still sees the initial state
+    # and all three steps, enough for the scaling covariance
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  dt: 5e-3\n  t_end: 0.015\n  snapshot_every: 10\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        "invariants:\n  h0: 0.01\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+    )
+    assert main(["validate", "--config", cfg]) == 0
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines()
+               if ln.startswith("scaling_covariance:")]
+    assert line.endswith("PASS")
 
 
 def test_validate_divergence_bound_follows_solver_tolerance(tmp_path, capsys):

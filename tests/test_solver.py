@@ -19,7 +19,9 @@ from axiswirl.fields import (
 )
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_profile
 from axiswirl.solver import (
+    GAMMA,
     AxisymSolver,
+    HelmholtzSolver,
     PoissonError,
     ProjectionOperator,
     SolverConfig,
@@ -31,8 +33,10 @@ from axiswirl.solver import (
     mms_residual,
     momentum_rhs,
     stable_dt,
+    viscous_terms,
     volume_weights,
 )
+from axiswirl.solver import _axial_operator, _radial_operator
 from axiswirl.validation import lamb_oseen_convergence, lamb_oseen_run
 
 from conftest import rigid_rotation
@@ -434,15 +438,94 @@ def test_project_divergence_free_fixed_point(grid32, ring_field):
 
 
 # ---------------------------------------------------------------------------
+# implicit viscous solves
+# ---------------------------------------------------------------------------
+
+HELMHOLTZ_GRID = (24, 40, 2.7, -2.0, 5.0)
+
+
+def _with_boundary_values(g, rng, fld, neumann_swirl):
+    """``fld`` after the axis conditions (which also reset vz's axis row, a node
+    the solve treats as unknown), with random values on the outer boundaries
+    and, if asked, vtheta's z ends copying their neighbour."""
+    out = apply_axis_conditions(fld)
+    for arr in (out.vr, out.vtheta, out.vz):
+        arr[-1, :] = rng.normal(size=g.nz + 1)
+        arr[:, 0] = rng.normal(size=g.nr + 1)
+        arr[:, -1] = rng.normal(size=g.nr + 1)
+    if neumann_swirl:
+        out.vtheta[:, 0] = out.vtheta[:, 1]
+        out.vtheta[:, -1] = out.vtheta[:, -2]
+    return out
+
+
+@pytest.mark.parametrize("swirllike, neumann", [(True, False), (True, True), (False, False)],
+                         ids=["vr", "vtheta-hold", "vz"])
+def test_helmholtz_operators_match_diffusion_stencils(swirllike, neumann):
+    # the 1D operators, summed over the two directions, are the stencils of
+    # diffuse_swirllike / diffuse_plain on every node the solve treats as
+    # unknown, for a field whose fixed nodes are zero (copies, on Neumann ends)
+    g = make_grid(*HELMHOLTZ_GRID)
+    f = np.random.default_rng(5).normal(size=g.shape)
+    f[-1, :] = f[:, 0] = f[:, -1] = 0.0
+    if swirllike:
+        f[0, :] = 0.0
+    if neumann:
+        f[:, 0], f[:, -1] = f[:, 1], f[:, -2]
+    diffuse, lo = (diffuse_swirllike, 1) if swirllike else (diffuse_plain, 0)
+    R, _ = _radial_operator(g, swirllike)
+    Z = _axial_operator(g, neumann)
+    x = f[lo:-1, 1:-1]
+    want = diffuse(ScalarField(g, f)).values[lo:-1, 1:-1]
+    np.testing.assert_allclose(R @ x + x @ Z.T, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("neumann_swirl", [False, True], ids=["dirichlet0", "hold"])
+def test_helmholtz_solve_residual(neumann_swirl):
+    g = make_grid(*HELMHOLTZ_GRID)
+    rng = np.random.default_rng(6)
+    rhs = AxisymField(g, *rng.normal(size=(3,) + g.shape))
+    bounded = _with_boundary_values(g, rng, rhs, neumann_swirl)
+    c = GAMMA * stable_dt(g, cfl=0.4, qmax=1.0)
+    u = HelmholtzSolver(g, neumann_swirl).solve(rhs, bounded, c)
+    if neumann_swirl:
+        u.vtheta[:, 0] = u.vtheta[:, 1]
+        u.vtheta[:, -1] = u.vtheta[:, -2]
+    lap = viscous_terms(u)
+    for name, lo in (("vr", 1), ("vtheta", 1), ("vz", 0)):
+        unk = (slice(lo, -1), slice(1, -1))
+        # the nodes the BCs fix keep their values
+        np.testing.assert_array_equal(getattr(u, name)[-1], getattr(bounded, name)[-1])
+        res = (getattr(u, name) - c * getattr(lap, name) - getattr(rhs, name))[unk]
+        assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(getattr(rhs, name)[unk])), name
+
+
+def test_changing_dt_rebuilds_no_eigenvectors(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    g = make_grid(*HELMHOLTZ_GRID)
+    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
+                          SolverConfig(cfl=0.4, boundary="hold"))
+    # swirl-like and plain radial, Dirichlet and Neumann axial
+    assert sorted(calls) == [(23, 23), (24, 24), (39, 39), (39, 39)]
+    dt = solver.current_dt()
+    for k in (1.0, 0.3, 0.05):
+        solver.step(k * dt)
+    assert len(calls) == 4
+
+
+# ---------------------------------------------------------------------------
 # stepping
 # ---------------------------------------------------------------------------
 
 def test_stable_dt_limits():
-    g = make_grid(32, 32, 4.0, -4.0, 4.0)
-    slow = stable_dt(g, mu=1.0, cfl=0.4, qmax=0.0)
-    assert slow == pytest.approx(0.35 / (2.0 * (1 / g.dr**2 + 1 / g.dz**2)))
-    fast = stable_dt(g, mu=1e-6, cfl=0.4, qmax=10.0)
-    assert fast == pytest.approx(0.4 * g.dr / 10.0)
+    # the advective CFL alone: cfl * h / max(1, q), whatever the viscosity
+    g = make_grid(32, 64, 4.0, -4.0, 4.0)
+    slow = stable_dt(g, cfl=0.4, qmax=0.0)
+    assert slow == pytest.approx(0.4 * g.dz)
+    fast = stable_dt(g, cfl=0.4, qmax=10.0)
+    assert fast == pytest.approx(0.4 * g.dz / 10.0)
 
 
 def test_step_zero_state_fixed_point(grid16):
@@ -550,7 +633,8 @@ def test_mms_residual_solver_snapshots_refine():
     norms = []
     for n in (32, 64):
         hist = SnapshotHistory()
-        lamb_oseen_run(n, n, 0.02, r_max=4.0, z_half=4.0, snapshot_every=1, history=hist)
+        # 4 and 8 steps at the advective step, so the window holds 4 snapshots
+        lamb_oseen_run(n, n, 0.2, r_max=4.0, z_half=4.0, snapshot_every=1, history=hist)
         window = (hist.times[-4], hist.times[-1])
         norms.append(mms_residual(hist, window=window)["vtheta"]["l2"])
     assert norms[0] / norms[1] > 3.0
