@@ -6,12 +6,18 @@ from .fields import (
     ScalarField,
     SnapshotHistory,
     apply_axis_conditions,
-    divergence,
     make_grid,
     max_rspeed,
     max_speed,
 )
-from .solver import AxisymSolver, SolverConfig, momentum_rhs, mms_residual
+from .solver import (
+    AxisymSolver,
+    SolverConfig,
+    build_divergence_matrix,
+    divergence,
+    mms_residual,
+    momentum_rhs,
+)
 
 __all__ = [
     "AxisymField",
@@ -21,6 +27,7 @@ __all__ = [
     "SnapshotHistory",
     "SolverConfig",
     "apply_axis_conditions",
+    "build_divergence_matrix",
     "divergence",
     "make_grid",
     "max_rspeed",

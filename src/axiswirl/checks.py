@@ -14,12 +14,11 @@ from .fields import (
     AxisymField,
     ScalarField,
     SnapshotHistory,
-    divergence,
     make_grid,
     max_rspeed,
     max_speed,
 )
-from .solver import kinetic_energy, mms_residual
+from .solver import build_divergence_matrix, divergence, kinetic_energy, mms_residual
 
 
 @dataclass
@@ -108,7 +107,8 @@ def check_energy(history: SnapshotHistory, rel_tol: float = 1e-8) -> dict:
 def check_divergence(history: SnapshotHistory, projection_tol: float = 1e-10,
                      factor: float = 10.0) -> dict:
     """Sup-norm discrete divergence of every snapshot against factor*projection_tol."""
-    sups = np.array([float(np.max(np.abs(divergence(s.field).values))) for s in history])
+    D = build_divergence_matrix(history.snapshots[0].field.grid)
+    sups = np.array([float(np.max(np.abs(divergence(D, s.field)))) for s in history])
     bound = factor * projection_tol
     worst = float(sups.max(initial=0.0))
     return {
@@ -136,7 +136,7 @@ def rescale_snapshot_sequence(history: SnapshotHistory, lam: float) -> SnapshotH
     for snap in history:
         f = snap.field
         fld = AxisymField(gg, lam * f.vr, lam * f.vtheta, lam * f.vz)
-        p = ScalarField(gg, lam**2 * snap.pressure.values, role="pressure")
+        p = ScalarField(gg, lam**2 * snap.pressure.values)
         out.push(snap.t / lam**2, fld, p)
     return out
 

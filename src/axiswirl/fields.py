@@ -69,10 +69,9 @@ class ScalarField:
 
     grid: Grid
     values: np.ndarray
-    role: str = "generic"
 
     def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy(), self.role)
+        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -143,33 +142,6 @@ def apply_axis_conditions(fld: AxisymField) -> AxisymField:
     # second-order one-sided derivative (-3f0+4f1-f2)/(2dr) = 0
     out.vz[0, :] = (4.0 * out.vz[1, :] - out.vz[2, :]) / 3.0
     return out
-
-
-def divergence(fld: AxisymField) -> ScalarField:
-    """Discrete div b = d_r vr + vr/r + d_z vz, centered in the interior.
-
-    At the axis the regularized form 2 d_r vr + d_z vz is used (odd vr ghost);
-    at the outer boundaries second-order one-sided differences close the stencil.
-    """
-    g = fld.grid
-    dr, dz = g.dr, g.dz
-    vr, vz = fld.vr, fld.vz
-    out = np.empty(g.shape)
-
-    # radial part: d_r vr + vr/r
-    rad = np.empty(g.shape)
-    rad[1:-1, :] = (vr[2:, :] - vr[:-2, :]) / (2 * dr) + vr[1:-1, :] / g.r[1:-1, None]
-    rad[0, :] = 2.0 * vr[1, :] / dr  # 2*d_r vr with odd ghost, vr(0)=0
-    rad[-1, :] = (3 * vr[-1, :] - 4 * vr[-2, :] + vr[-3, :]) / (2 * dr) + vr[-1, :] / g.r[-1]
-
-    # axial part: d_z vz
-    ax = np.empty(g.shape)
-    ax[:, 1:-1] = (vz[:, 2:] - vz[:, :-2]) / (2 * dz)
-    ax[:, 0] = (-3 * vz[:, 0] + 4 * vz[:, 1] - vz[:, 2]) / (2 * dz)
-    ax[:, -1] = (3 * vz[:, -1] - 4 * vz[:, -2] + vz[:, -3]) / (2 * dz)
-
-    out[:] = rad + ax
-    return ScalarField(g, out, role="generic")
 
 
 def bilinear_sample(grid: Grid, values: np.ndarray, r, z):
@@ -266,23 +238,29 @@ def boundary_max(fld: AxisymField) -> float:
 # z_max, t as little-endian f64, then row-major vr, vtheta, vz, p arrays.
 # ---------------------------------------------------------------------------
 
-def write_snapshot(path, t: float, fld: AxisymField, pressure: ScalarField) -> None:
-    """Write via ``<path>.part`` and a rename: a failed write leaves ``path`` as it was."""
-    g = fld.grid
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<I6d", SNAPSHOT_VERSION, float(g.nr), float(g.nz),
-        g.r_max, g.z_min, g.z_max, float(t),
-    )
+def write_atomic(path, header: bytes, arrays) -> None:
+    """Write ``header`` and then each array as little-endian f64 via
+    ``<path>.part`` and a rename: a failed write leaves ``path`` as it was."""
     part = Path(f"{path}.part")
     try:
         with open(part, "wb") as fh:
             fh.write(header)
-            for arr in (fld.vr, fld.vtheta, fld.vz, pressure.values):
+            for arr in arrays:
                 fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
+
+
+def write_snapshot(path, t: float, fld: AxisymField, pressure: ScalarField) -> None:
+    """Write a snapshot in the format above, atomically (write_atomic)."""
+    g = fld.grid
+    header = SNAPSHOT_MAGIC + struct.pack(
+        "<I6d", SNAPSHOT_VERSION, float(g.nr), float(g.nz),
+        g.r_max, g.z_min, g.z_max, float(t),
+    )
+    write_atomic(path, header, (fld.vr, fld.vtheta, fld.vz, pressure.values))
 
 
 def read_snapshot(path) -> tuple[float, AxisymField, ScalarField]:
@@ -303,4 +281,4 @@ def read_snapshot(path) -> tuple[float, AxisymField, ScalarField]:
                 raise ValueError(f"truncated snapshot file {path}")
             arrs.append(np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
     fld = AxisymField(grid, arrs[0], arrs[1], arrs[2])
-    return t, fld, ScalarField(grid, arrs[3], role="pressure")
+    return t, fld, ScalarField(grid, arrs[3])

@@ -21,6 +21,7 @@ from .fields import (
     max_speed,
     reconstruct_cartesian_many,
     sample_components,
+    write_atomic,
 )
 
 CUBE_MAGIC = b"CUBE"
@@ -408,7 +409,8 @@ def microscope_report(history: SnapshotHistory,
 
 
 def write_cube(path, sample: CubeSample) -> None:
-    """Binary dump of a cube sample (CUBE magic variant of the snapshot format)."""
+    """Binary dump of a cube sample (CUBE magic variant of the snapshot format),
+    written atomically like a snapshot."""
     z = sample.zoom
     n = len(sample.xs)
     nt = len(sample.ts)
@@ -416,9 +418,4 @@ def write_cube(path, sample: CubeSample) -> None:
         "<I8d", CUBE_VERSION, float(n), float(nt), sample.length,
         z.t0, z.q, z.r0, z.z0, 1.0 if sample.capped else 0.0,
     )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(sample.xs, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sample.ts, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sample.v, dtype="<f8").tobytes())
-        fh.write(np.ascontiguousarray(sample.valid, dtype="<f8").tobytes())
+    write_atomic(path, header, (sample.xs, sample.ts, sample.v, sample.valid))

@@ -27,7 +27,6 @@ from .fields import (
     SnapshotHistory,
     apply_axis_conditions,
     boundary_max,
-    divergence,
     max_rspeed,
     max_speed,
 )
@@ -53,6 +52,9 @@ class UnstableError(RuntimeError):
 # and the benchmark workloads (3); a field whose boundary flux no pressure can
 # remove reaches it within milliseconds and fails with PoissonError
 POISSON_MAX_ITER = 30
+# added to the diagonal of the pressure operator, which is singular, before
+# it is factorised
+PRECONDITIONER_SHIFT = 1e-3
 
 
 @dataclass
@@ -64,7 +66,6 @@ class SolverConfig:
     projection_tol: float = 1e-10
     snapshot_every: int = 1
     boundary: str = "dirichlet0"  # "dirichlet0" | "hold"
-    poisson_max_iter: int = POISSON_MAX_ITER
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -107,14 +108,13 @@ def _pad_z(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def advect(b: AxisymField, f: ScalarField, parity: int = 1) -> ScalarField:
-    """Upwind evaluation of b.grad f = vr d_r f + vz d_z f (second-order biased).
+def advect(b: AxisymField, vals: np.ndarray, parity: int = 1) -> np.ndarray:
+    """Upwind evaluation of b.grad f = vr d_r f + vz d_z f (second-order biased)
+    for the nodal values ``vals`` of f on b's grid.
 
     ``parity`` gives the axis symmetry of f (+1 even, -1 odd) for the ghost rows.
     """
-    g = f.grid
-    dr, dz = g.dr, g.dz
-    vals = f.values
+    dr, dz = b.grid.dr, b.grid.dz
     vr, vz = b.vr, b.vz
 
     fr = _pad_r(vals, parity)  # index i+2 == physical i
@@ -127,84 +127,29 @@ def advect(b: AxisymField, f: ScalarField, parity: int = 1) -> ScalarField:
     fwd_z = (-3 * fz[:, 2:-2] + 4 * fz[:, 3:-1] - fz[:, 4:]) / (2 * dz)
     d_z = np.where(vz > 0, back_z, np.where(vz < 0, fwd_z, 0.5 * (back_z + fwd_z)))
 
-    return ScalarField(g, vr * d_r + vz * d_z, role="generic")
+    return vr * d_r + vz * d_z
 
 
-def diffuse_swirllike(f: ScalarField) -> ScalarField:
-    """[d_rr + (1/r) d_r - 1/r^2 + d_zz] f for a field odd at the axis (f(0,z)=0)."""
-    g = f.grid
-    dr, dz = g.dr, g.dz
-    v = f.values
-    out = np.zeros(g.shape)
-    r = g.r[1:-1, None]
-    out[1:-1, 1:-1] = (
-        (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dr**2
-        + (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dr * r)
-        - v[1:-1, 1:-1] / r**2
-        + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dz**2
-    )
-    return ScalarField(g, out, role="generic")
+def momentum_rhs(state: AxisymField) -> AxisymField:
+    """Explicit tendencies of the three momentum equations (pressure-free):
 
-
-def diffuse_plain(f: ScalarField) -> ScalarField:
-    """[d_rr + (1/r) d_r + d_zz] f for a field even at the axis.
-
-    At r=0 the limit 2 d_rr f + d_zz f is used via the even ghost.
-    """
-    g = f.grid
-    dr, dz = g.dr, g.dz
-    v = f.values
-    out = np.zeros(g.shape)
-    r = g.r[1:-1, None]
-    out[1:-1, 1:-1] = (
-        (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dr**2
-        + (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dr * r)
-        + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dz**2
-    )
-    out[0, 1:-1] = 4 * (v[1, 1:-1] - v[0, 1:-1]) / dr**2 + (
-        v[0, 2:] - 2 * v[0, 1:-1] + v[0, :-2]
-    ) / dz**2
-    return ScalarField(g, out, role="generic")
-
-
-def viscous_terms(state: AxisymField) -> AxisymField:
-    """The viscous tendencies per unit viscosity: (Lap - 1/r^2) applied to vr
-    and vtheta, Lap applied to vz; zero on every boundary row but vz's axis row."""
-    g = state.grid
-    return AxisymField(g, *(diffuse(ScalarField(g, f)).values for diffuse, f in (
-        (diffuse_swirllike, state.vr), (diffuse_swirllike, state.vtheta), (diffuse_plain, state.vz))))
-
-
-def momentum_rhs(state: AxisymField, mu: float = 1.0) -> AxisymField:
-    """Pressure-free tendencies of the three momentum equations.
-
-    vr:     -b.grad vr + vtheta^2/r          + mu (Lap - 1/r^2) vr
-    vtheta: -b.grad vtheta - vr vtheta/r     + mu (Lap - 1/r^2) vtheta
-    vz:     -b.grad vz                       + mu Lap vz
-    The curvature source terms vanish at the axis (both factors are odd).
-    With mu = 0 this is the explicit part of the IMEX step, and the viscous
-    terms are not evaluated.
+    vr:     -b.grad vr + vtheta^2/r
+    vtheta: -b.grad vtheta - vr vtheta/r
+    vz:     -b.grad vz
+    The curvature source terms vanish at the axis (both factors are odd).  The
+    viscous terms are the implicit part of the step (HelmholtzSolver), and the
+    boundary nodes are left to the boundary conditions.
     """
     g = state.grid
     rinv = np.zeros(g.nr + 1)
     rinv[1:] = 1.0 / g.r[1:]
     rinv = rinv[:, None]
-
-    rhs_vr = -advect(state, ScalarField(g, state.vr), parity=-1).values + state.vtheta**2 * rinv
-    rhs_vt = (-advect(state, ScalarField(g, state.vtheta), parity=-1).values
-              - state.vr * state.vtheta * rinv)
-    rhs_vz = -advect(state, ScalarField(g, state.vz), parity=1).values
-    out = AxisymField(g, rhs_vr, rhs_vt, rhs_vz)
-    if mu:
-        out = _combine((1.0, out), (mu, viscous_terms(state)))
-    # boundary rows are pinned by the boundary conditions
-    for arr in (out.vr, out.vtheta, out.vz):
-        arr[-1, :] = 0.0
-        arr[:, 0] = 0.0
-        arr[:, -1] = 0.0
-    out.vr[0, :] = 0.0
-    out.vtheta[0, :] = 0.0
-    return out
+    return AxisymField(
+        g,
+        -advect(state, state.vr, parity=-1) + state.vtheta**2 * rinv,
+        -advect(state, state.vtheta, parity=-1) - state.vr * state.vtheta * rinv,
+        -advect(state, state.vz, parity=1),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -212,11 +157,13 @@ def momentum_rhs(state: AxisymField, mu: float = 1.0) -> AxisymField:
 # ---------------------------------------------------------------------------
 
 def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
-    """Sparse matrix of the discrete divergence acting on stacked [vr, vz] nodes.
+    """Sparse matrix D of the discrete divergence acting on stacked [vr, vz] nodes.
 
-    Row for row agrees with fields.divergence (verified by test).  Each stencil
-    case is one block of (rows, cols, value) over the node index grid; the
-    result is canonical CSR (sorted column indices, no duplicates)."""
+    div b = d_r vr + vr/r + d_z vz, centred in the interior; at the axis the
+    regularised form 2 d_r vr + d_z vz (odd vr ghost); second-order one-sided
+    differences at the outer boundaries.  Each stencil case is one block of
+    (rows, cols, value) over the node index grid; the result is canonical CSR
+    (sorted column indices, no duplicates)."""
     nr, nz = g.nr, g.nz
     dr, dz = g.dr, g.dz
     npts = (nr + 1) * (nz + 1)
@@ -250,6 +197,12 @@ def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
     return D
 
 
+def divergence(D: sp.csr_matrix, fld: AxisymField) -> np.ndarray:
+    """The nodal divergence of ``fld``: D from build_divergence_matrix applied
+    to the stacked [vr; vz]."""
+    return (D @ np.concatenate([fld.vr.ravel(), fld.vz.ravel()])).reshape(fld.grid.shape)
+
+
 def volume_weights(g: Grid) -> np.ndarray:
     """Cylindrical trapezoid-style volume weights per node (without the 2*pi)."""
     wr = g.r.copy()
@@ -281,17 +234,16 @@ class ProjectionOperator:
 
     ``tol`` bounds the sup-norm divergence of the projected field: the CG stop
     is the absolute residual tol/dt, and the residual of the solve equals the
-    remaining divergence divided by dt node for node.
+    remaining divergence divided by dt node for node.  ``D`` is the divergence
+    matrix; the diagnostics apply it too.
     """
 
-    def __init__(self, grid: Grid, tol: float = 1e-10, max_iter: int = POISSON_MAX_ITER,
-                 shift: float = 1e-3):
+    def __init__(self, grid: Grid, tol: float = 1e-10):
         self.grid = grid
         self.tol = tol
-        self.max_iter = max_iter
         npts = (grid.nr + 1) * (grid.nz + 1)
         self._npts = npts
-        D = build_divergence_matrix(grid)
+        self.D = D = build_divergence_matrix(grid)
         w = volume_weights(grid).ravel()
         free_vr = np.zeros(grid.shape, bool)
         free_vr[1:-1, 1:-1] = True
@@ -300,9 +252,9 @@ class ProjectionOperator:
         self._mask = np.concatenate([free_vr.ravel(), free_vz.ravel()])
         self._wu = np.concatenate([w, w])
         self._wp = w
-        self._Df = D[:, self._mask].tocsr()
-        self._K = (self._Df @ sp.diags(1.0 / self._wu[self._mask]) @ self._Df.T).tocsr()
-        shifted = (self._K + shift * sp.identity(npts)).tocsc().astype(np.float32)
+        Df = D[:, self._mask].tocsr()
+        self._K = (Df @ sp.diags(1.0 / self._wu[self._mask]) @ Df.T).tocsr()
+        shifted = (self._K + PRECONDITIONER_SHIFT * sp.identity(npts)).tocsc().astype(np.float32)
         self._lu = lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                   options=dict(SymmetricMode=True))
         # the preconditioner refers to the factor and not to self: a reference
@@ -313,14 +265,12 @@ class ProjectionOperator:
             dtype=np.float64)
         self._s_prev: np.ndarray | None = None
 
-    def solve(self, rhs: np.ndarray, atol: float = 0.0) -> np.ndarray:
-        """CG solve of K s = rhs; stop at absolute 2-norm residual atol (or
-        relative tol when atol is zero)."""
+    def solve(self, rhs: np.ndarray, atol: float) -> np.ndarray:
+        """CG solve of K s = rhs; stop at absolute 2-norm residual atol."""
         b = rhs.ravel()
-        rtol = 1e-300 if atol > 0 else self.tol
         s, info = spla.cg(
-            self._K, b, x0=self._s_prev, rtol=rtol, atol=atol,
-            maxiter=self.max_iter, M=self._M,
+            self._K, b, x0=self._s_prev, rtol=0.0, atol=atol,
+            maxiter=POISSON_MAX_ITER, M=self._M,
         )
         if info != 0:
             achieved = float(np.linalg.norm(b - self._K @ s) / max(np.linalg.norm(b), 1e-300))
@@ -333,16 +283,16 @@ class ProjectionOperator:
 
     def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, ScalarField]:
         g = self.grid
-        div = divergence(u_star).values.ravel()
+        div = divergence(self.D, u_star).ravel()
         if np.max(np.abs(div)) == 0.0:
-            return u_star.copy(), ScalarField(g, np.zeros(g.shape), role="pressure")
+            return u_star.copy(), ScalarField(g, np.zeros(g.shape))
         s = self.solve(div / dt, atol=self.tol / dt)
         grad = np.zeros(2 * self._npts)
-        grad[self._mask] = (self._Df.T @ s) / self._wu[self._mask]
+        grad[self._mask] = (self.D.T @ s)[self._mask] / self._wu[self._mask]
         out = u_star.copy()
         out.vr -= dt * grad[: self._npts].reshape(g.shape)
         out.vz -= dt * grad[self._npts:].reshape(g.shape)
-        p = ScalarField(g, (-s / self._wp).reshape(g.shape), role="pressure")
+        p = ScalarField(g, (-s / self._wp).reshape(g.shape))
         return out, p
 
 
@@ -355,30 +305,27 @@ def stable_dt(g: Grid, cfl: float, qmax: float) -> float:
     return cfl * min(g.dr, g.dz) / max(1.0, qmax)
 
 
-def _radial_operator(g: Grid, swirllike: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The radial part of diffuse_swirllike on rows 1..nr-1, or of diffuse_plain
-    on rows 0..nr-1 (axis row 4 (f1 - f0)/dr^2), as a matrix acting on those
-    rows, with the volume weights (r_i, and dr/8 on the axis row) under which
-    it is symmetric: diag(w) A couples rows i and i+1 by r_{i+1/2}/dr^2."""
+def _radial_operator(g: Grid, swirllike: bool) -> sp.csr_matrix:
+    """The radial part of L as a matrix acting on all nr+1 rows: at rows
+    1..nr-1 d_rr + (1/r) d_r - 1/r^2 (swirl-like, for fields odd at the axis),
+    or at rows 0..nr-1 d_rr + (1/r) d_r, whose axis row is the limit
+    2 d_rr f = 4 (f_1 - f_0)/dr^2 of a field even at the axis.  It is
+    symmetric under the radial volume weights (r_i, and dr/8 on the axis row):
+    weighted, it couples rows i and i+1 by r_{i+1/2}/dr^2."""
     dr, r = g.dr, g.r[1:-1]
     main = np.full(r.shape, -2.0 / dr**2) - (1.0 / r**2 if swirllike else 0.0)
     up = 1.0 / dr**2 + 1.0 / (2 * dr * r)  # coefficient of f_{i+1} in row i
     down = 1.0 / dr**2 - 1.0 / (2 * dr * r)  # coefficient of f_{i-1} in row i
-    w = r
-    if not swirllike:
-        main, up, down, w = (np.r_[-4.0 / dr**2, main], np.r_[4.0 / dr**2, up],
-                             np.r_[0.0, down], np.r_[dr / 8.0, r])
-    return sp.diags([down[1:], main, up[:-1]], [-1, 0, 1]).toarray(), w
+    if swirllike:
+        return sp.diags([down, main, up], [0, 1, 2], shape=(g.nr - 1, g.nr + 1), format="csr")
+    return sp.diags([down, np.r_[-4.0 / dr**2, main], np.r_[4.0 / dr**2, up]], [-1, 0, 1],
+                    shape=(g.nr, g.nr + 1), format="csr")
 
 
-def _axial_operator(g: Grid, neumann: bool) -> np.ndarray:
-    """d_zz on the nodes strictly inside the z ends, with Dirichlet ends or
-    with ends that copy their neighbour (zero normal gradient)."""
+def _axial_operator(g: Grid) -> sp.csr_matrix:
+    """d_zz at the nodes strictly inside the z ends, as a matrix acting on all nz+1 columns."""
     n = g.nz - 1
-    A = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)).toarray() / g.dz**2
-    if neumann:
-        A[0, 0] = A[-1, -1] = -1.0 / g.dz**2
-    return A
+    return sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n, n + 2), format="csr") / g.dz**2
 
 
 def _diagonalise(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -392,32 +339,54 @@ def _diagonalise(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
 
 
 class HelmholtzSolver:
-    """Exact solves of (I - c L) U = B, L being diffuse_swirllike (vr, vtheta)
-    or diffuse_plain (vz) on the nodes no boundary condition fixes (vz's axis
-    row is one of them); ``neumann_swirl`` gives vtheta z ends that copy their
-    neighbour.  L X = R X + X Z^T on the nodal array X, so with R = V_r
-    diag(lr) V_r^-1 and Z = V_z diag(lz) V_z^-1 the solve is
+    """The viscous operator L per unit viscosity, and exact solves of (I - c L) U = B.
+
+    L is (Lap - 1/r^2) on vr and vtheta and Lap on vz, on the nodes no boundary
+    condition fixes (vz's axis row is one of them).  On a component's nodal
+    array X it is R X + X Z^T, R the radial and Z the axial operator, both
+    built once, here.  In a solve the fixed nodes are known, so the unknowns
+    see the square blocks of R and Z on the unknown rows and columns; with
+    ``neumann_swirl`` vtheta's z ends copy their neighbour, which folds Z's end
+    columns onto those neighbours.  With the blocks R = V_r diag(lr) V_r^-1 and
+    Z = V_z diag(lz) V_z^-1 the solve is
     X = V_r [(V_r^-1 B V_z^-T) / (1 - c (lr_i + lz_j))] V_z^T.  The
     decompositions are made once, at construction; only the denominator depends on c.
     """
 
     def __init__(self, grid: Grid, neumann_swirl: bool):
-        swirl = _diagonalise(*_radial_operator(grid, swirllike=True))
-        plain = _diagonalise(*_radial_operator(grid, swirllike=False))
+        w = volume_weights(grid)[:, 1]  # an inner z column: the radial weights times dr dz
+        swirl = _radial_operator(grid, swirllike=True)
+        plain = _radial_operator(grid, swirllike=False)
+        radial_swirl = _diagonalise(swirl[:, 1:-1].toarray(), w[1:-1])
+        radial_plain = _diagonalise(plain[:, :-1].toarray(), w[:-1])
+        self._Z = _axial_operator(grid)
+        Z = self._Z.toarray()
         ones = np.ones(grid.nz - 1)
-        dirichlet = _diagonalise(_axial_operator(grid, neumann=False), ones)
-        neumann = (_diagonalise(_axial_operator(grid, neumann=True), ones)
-                   if neumann_swirl else dirichlet)
-        # per component: radial and axial decompositions, first unknown row
-        self._ops = {"vr": (swirl, dirichlet, 1), "vtheta": (swirl, neumann, 1),
-                     "vz": (plain, dirichlet, 0)}
+        dirichlet = neumann = _diagonalise(Z[:, 1:-1], ones)
+        if neumann_swirl:
+            folded = Z[:, 1:-1].copy()
+            folded[:, 0] += Z[:, 0]
+            folded[:, -1] += Z[:, -1]
+            neumann = _diagonalise(folded, ones)
+        # per component: radial operator, first unknown row, radial and axial decompositions
+        self._ops = {"vr": (swirl, 1, radial_swirl, dirichlet),
+                     "vtheta": (swirl, 1, radial_swirl, neumann),
+                     "vz": (plain, 0, radial_plain, dirichlet)}
+
+    def laplacian(self, fld: AxisymField) -> AxisymField:
+        """L applied to every component; zero on the boundary nodes it does not reach."""
+        out = AxisymField.zeros(fld.grid)
+        for name, (R, lo, _, _) in self._ops.items():
+            x = getattr(fld, name)
+            getattr(out, name)[lo:-1, 1:-1] = (R @ x)[:, 1:-1] + (self._Z @ x[lo:-1].T).T
+        return out
 
     def solve(self, rhs: AxisymField, bounded: AxisymField, c: float) -> AxisymField:
         """U with (I - c L) U = rhs on the unknown nodes and U = ``bounded`` on
         the others; ``bounded`` is rhs with the boundary conditions applied."""
-        lap = viscous_terms(bounded)
+        lap = self.laplacian(bounded)
         out = bounded.copy()
-        for name, ((vr_, wr, lr), (vz_, wz, lz), lo) in self._ops.items():
+        for name, (_, lo, (vr_, wr, lr), (vz_, wz, lz)) in self._ops.items():
             unk = (slice(lo, -1), slice(1, -1))
             # the correction to ``bounded`` vanishes on the fixed nodes
             b = (getattr(rhs, name) - getattr(bounded, name) + c * getattr(lap, name))[unk]
@@ -461,12 +430,10 @@ class AxisymSolver:
         self.state = apply_axis_conditions(initial)
         self.t = float(t0)
         self.step_count = step0
-        self.projection = ProjectionOperator(
-            self.grid, tol=config.projection_tol, max_iter=config.poisson_max_iter
-        )
+        self.projection = ProjectionOperator(self.grid, tol=config.projection_tol)
         # built after the factorisation, whose transient peak it would raise
         self.helmholtz = HelmholtzSolver(self.grid, neumann_swirl=config.boundary == "hold")
-        self.pressure = ScalarField(self.grid, np.zeros(self.grid.shape), role="pressure")
+        self.pressure = ScalarField(self.grid, np.zeros(self.grid.shape))
         self._held = None
         if config.boundary == "hold":
             # per component: the r = r_max row and the z_min and z_max columns
@@ -515,11 +482,11 @@ class AxisymSolver:
         """One ARS(2,2,2) step of ``dt`` (by default ``current_dt()``)."""
         dt = self.current_dt() if dt is None else dt
         u = self.state
-        e0 = momentum_rhs(u, 0.0)
+        e0 = momentum_rhs(u)
         u1, _ = self._stage(_combine((1.0, u), (GAMMA * dt, e0)), dt, GAMMA * dt)
-        e1 = momentum_rhs(u1, 0.0)
+        e1 = momentum_rhs(u1)
         rhs = _combine((1.0, u), (DELTA * dt, e0), ((1.0 - DELTA) * dt, e1),
-                       ((1.0 - GAMMA) * dt * self.config.mu, viscous_terms(u1)))
+                       ((1.0 - GAMMA) * dt * self.config.mu, self.helmholtz.laplacian(u1)))
         u2, p = self._stage(rhs, dt, dt)
 
         if not u2.is_finite():
@@ -542,7 +509,7 @@ class AxisymSolver:
             r_speed=rsp,
             max_rvtheta=rvt,
             energy=kinetic_energy(self.state),
-            max_divergence=float(np.max(np.abs(divergence(self.state).values))),
+            max_divergence=float(np.max(np.abs(divergence(self.projection.D, self.state)))),
             boundary_max=boundary_max(self.state),
         )
 

@@ -32,6 +32,11 @@ def test_spans_see_every_step_diagnostics_row_and_snapshot_of_a_simulate(tmp_pat
         timer.close()
     calls = Counter(name for name, _t0, _t1, _parent in tracer.spans)
     assert calls["solver.step"] == 6
+    # the explicit part is evaluated at both stages of every step
+    assert calls["solver.momentum_rhs"] == 12
+    # one divergence matrix per solver: the projection, the diagnostics and
+    # the viscous solves build no other
+    assert calls["solver.divergence_matrix"] == 1
     # the starting state and every step
     assert calls["solver.record_diagnostics"] == 7
     # steps 0, 2, 4 and 6

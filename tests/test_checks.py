@@ -161,7 +161,7 @@ def test_rescale_sequence_exact_on_nodes(grid16, lam):
     fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0, ring_r=1.0, core_radius=0.3),
                    grid16)
     p = np.sin(grid16.r)[:, None] * np.cos(grid16.z)[None, :]
-    hist = _hist(grid16, [fld], [0.4], [ScalarField(grid16, p, role="pressure")])
+    hist = _hist(grid16, [fld], [0.4], [ScalarField(grid16, p)])
     (snap,) = rescale_snapshot_sequence(hist, lam)
     g = grid16
     assert snap.field.grid == make_grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)

@@ -86,7 +86,7 @@ def test_simulate_keeps_at_most_one_snapshot_in_memory(tmp_path, monkeypatch):
 
 def test_hold_boundary_with_outward_flux_fails_fast(tmp_path):
     # held boundary values that carry flux out of the domain cannot be made
-    # divergence free; the projection gives up at poisson_max_iter (exit 2)
+    # divergence free; the projection gives up at POISSON_MAX_ITER (exit 2)
     cfg = _write(
         tmp_path / "run.yaml",
         "grid:\n  nr: 24\n  nz: 40\n  r_max: 3.0\n  z_min: -2.0\n  z_max: 5.0\n"

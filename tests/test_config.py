@@ -43,6 +43,12 @@ def test_invariants_mu_is_unknown_key():
         parse_config("invariants:\n  mu: 1.0\n")
 
 
+def test_solver_poisson_max_iter_is_unknown_key():
+    # the projection's iteration cap is a constant, not a setting
+    with pytest.raises(ConfigError, match="unknown key solver.poisson_max_iter"):
+        parse_config("solver:\n  cfl: 0.4\n  poisson_max_iter: 50\n")
+
+
 def test_lamb_oseen_nu_must_equal_solver_mu():
     parse_config("solver:\n  mu: 0.5\ndata:\n  kind: lamb_oseen\n  nu: 0.5\n")
     with pytest.raises(ConfigError, match="data.nu"):

@@ -1,4 +1,6 @@
 """Tests for candidate detection, cube rescaling and closeness-to-constant."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -397,3 +399,18 @@ def test_write_cube_magic_and_size(tmp_path, grid32):
     nt = len(sample.ts)
     expect = 4 + 4 + 8 * 8 + 8 * (n + nt + nt * n**3 * 3 + nt * n**3)
     assert len(raw) == expect
+
+
+def test_failed_cube_write_leaves_previous_file(tmp_path, grid32):
+    sample, _ = _constant_sample(grid32, 1.0)
+    path = tmp_path / "cube_0000.bin"
+    write_cube(path, sample)
+    before = path.read_bytes()
+    # the validity mask cannot be converted, so the write fails after the
+    # velocity samples have gone out
+    bad = dataclasses.replace(sample, v=np.zeros_like(sample.v),
+                              valid=np.full(sample.valid.shape, "x"))
+    with pytest.raises(ValueError):
+        write_cube(path, bad)
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
