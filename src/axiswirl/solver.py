@@ -8,7 +8,9 @@ are diagonalised once per grid (Lynch, Rice & Thomas 1964).  With no viscous
 stability limit, dt is set by the advective CFL alone.  The projection uses
 the discrete-adjoint gradient of the divergence operator, so the
 post-projection divergence equals the Poisson solve residual (times the
-stage's time increment) at every node, boundary rows included.
+stage's time increment) at every node, boundary rows included.  Its pressure
+operator is diagonalised the same way, which makes the CG preconditioner an
+exact inverse: a projection takes one iteration and no factor is stored.
 
 Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
 """
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -48,13 +51,10 @@ class UnstableError(RuntimeError):
         self.t = t
 
 
-# ten times the most CG iterations one projection took across the test suite
-# and the benchmark workloads (3); a field whose boundary flux no pressure can
-# remove reaches it within milliseconds and fails with PoissonError
+# with the exact preconditioner every projection of the test suite and the
+# benchmark workloads takes one CG iteration; a field whose boundary flux no
+# pressure can remove reaches this bound within milliseconds and fails
 POISSON_MAX_ITER = 30
-# added to the diagonal of the pressure operator, which is singular, before
-# it is factorised
-PRECONDITIONER_SHIFT = 1e-3
 
 
 @dataclass
@@ -222,14 +222,17 @@ def kinetic_energy(fld: AxisymField) -> float:
 class ProjectionOperator:
     """Exact discrete Helmholtz projection onto divergence-free fields.
 
-    Solves (D B W^-1 D^T) s = div(u*)/dt with CG, preconditioned by a direct
-    factorization of the slightly shifted operator.  That matrix is symmetric
-    positive definite, so SuperLU runs in symmetric mode with pivots kept on
-    the diagonal, which preserves the fill-reducing minimum-degree ordering of
-    A + A^T.  The factor is built once per operator and stored in single
-    precision: it only preconditions, while the operator, the CG iterates and
-    the residual test stay in double precision.  The velocity update is the
-    adjoint gradient B W^-1 D^T s, which reduces in the interior to the
+    Solves K s = div(u*)/dt, K = D_f W^-1 D_f^T, with CG.  On the free nodes
+    K = Kr (x) Pz + Mr (x) Kz, from the 1D divergence operators Ar and Az
+    (slices of D): Kr = Ar_f Wr^-1 Ar_f^T, Mr = Wr^-1 on the free vz rows,
+    Kz = Az_f Az_f^T and Pz the identity on the free vr columns.  The
+    generalised eigenvectors (V^T B V = I) of the definite pencils
+    (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964),
+    so the preconditioner M r = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact
+    inverse on its range.  M is zero on K's 6-dimensional kernel, so neither
+    it nor the CG iterates have a kernel component: the pressure is set by
+    the flow, not by the warm start.  The velocity update is the adjoint
+    gradient B W^-1 D^T s, which reduces in the interior to the
     centered-difference pressure gradient matching the divergence stencil.
 
     ``tol`` bounds the sup-norm divergence of the projected field: the CG stop
@@ -241,28 +244,39 @@ class ProjectionOperator:
     def __init__(self, grid: Grid, tol: float = 1e-10):
         self.grid = grid
         self.tol = tol
-        npts = (grid.nr + 1) * (grid.nz + 1)
+        nz = grid.nz
+        npts = (grid.nr + 1) * (nz + 1)
         self._npts = npts
         self.D = D = build_divergence_matrix(grid)
-        w = volume_weights(grid).ravel()
+        w = volume_weights(grid)
         free_vr = np.zeros(grid.shape, bool)
         free_vr[1:-1, 1:-1] = True
         free_vz = np.zeros(grid.shape, bool)
         free_vz[:-1, 1:-1] = True
         self._mask = np.concatenate([free_vr.ravel(), free_vz.ravel()])
-        self._wu = np.concatenate([w, w])
-        self._wp = w
+        self._wp = w.ravel()
+        self._wu = np.concatenate([self._wp, self._wp])
         Df = D[:, self._mask].tocsr()
         self._K = (Df @ sp.diags(1.0 / self._wu[self._mask]) @ Df.T).tocsr()
-        shifted = (self._K + PRECONDITIONER_SHIFT * sp.identity(npts)).tocsc().astype(np.float32)
-        self._lu = lu = spla.splu(shifted, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                  options=dict(SymmetricMode=True))
-        # the preconditioner refers to the factor and not to self: a reference
-        # cycle would keep each factor alive until the cyclic collector runs
-        # with its dtype given, scipy need not call the factor to infer it
-        self._M = spla.LinearOperator(
-            self._K.shape, lambda r: lu.solve(r.astype(np.float32)).astype(np.float64),
-            dtype=np.float64)
+        # Ar: the vr half at z index 0; Az: the vz half at r index 0
+        Ar = D[:npts:nz + 1, :npts:nz + 1].toarray()[:, 1:-1]
+        Az = D[:nz + 1, npts:npts + nz + 1].toarray()[:, 1:-1]
+        wr = w[:, 1]  # an inner z column: the radial weights times dr dz
+        Kr = (Ar / wr[1:-1]) @ Ar.T
+        Kz = Az @ Az.T
+        phi, Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
+        theta, Vz = scipy.linalg.eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
+        lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta
+        # lam lies in [0, 1]: roundoff (< 1e-13) on the kernel, O(h^2) above it
+        lam_inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam >= 1e-9)
+
+        # the preconditioner refers to the eigenvectors and not to self: a
+        # reference cycle would keep each operator alive until the cyclic
+        # collector runs; with its dtype given, scipy need not call it to infer it
+        def apply_inverse(r: np.ndarray) -> np.ndarray:
+            return (Vr @ ((Vr.T @ r.reshape(grid.shape) @ Vz) * lam_inv) @ Vz.T).ravel()
+
+        self._M = spla.LinearOperator(self._K.shape, apply_inverse, dtype=np.float64)
         self._s_prev: np.ndarray | None = None
 
     def solve(self, rhs: np.ndarray, atol: float) -> np.ndarray:
@@ -431,7 +445,6 @@ class AxisymSolver:
         self.t = float(t0)
         self.step_count = step0
         self.projection = ProjectionOperator(self.grid, tol=config.projection_tol)
-        # built after the factorisation, whose transient peak it would raise
         self.helmholtz = HelmholtzSolver(self.grid, neumann_swirl=config.boundary == "hold")
         self.pressure = ScalarField(self.grid, np.zeros(self.grid.shape))
         self._held = None

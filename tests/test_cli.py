@@ -89,7 +89,7 @@ def test_hold_boundary_with_outward_flux_fails_fast(tmp_path):
     # divergence free; the projection gives up at POISSON_MAX_ITER (exit 2)
     cfg = _write(
         tmp_path / "run.yaml",
-        "grid:\n  nr: 24\n  nz: 40\n  r_max: 3.0\n  z_min: -2.0\n  z_max: 5.0\n"
+        "grid:\n  nr: 24\n  nz: 40\n  r_max: 1.5\n  z_min: -2.0\n  z_max: 5.0\n"
         "solver:\n  t_end: 0.01\n  boundary: hold\n"
         "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
         f"output:\n  directory: {tmp_path / 'out'}\n",
