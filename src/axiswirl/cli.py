@@ -110,6 +110,10 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
     for p in paths:
         history.push(*read_snapshot(p))
     rows = microscope_report(history, cfg.microscope)
+    # the cubes of an earlier run, which may have had more rows, go first
+    if dump_cubes:
+        for path in directory.glob("cube_*.bin"):
+            path.unlink()
     out = Path(out_path) if out_path else directory / "microscope.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(MICRO_COLUMNS) + "\n")

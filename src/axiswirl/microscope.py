@@ -9,6 +9,7 @@ measures a discrete parabolic C^{2,1,alpha}-style distance to the center value.
 """
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass
 
@@ -70,7 +71,7 @@ class ZoomParameters:
     @property
     def beta(self) -> float:
         a = self.alpha
-        return self.r0 / np.sqrt(a) if a > 0 else 0.0
+        return float(self.r0 / np.sqrt(a)) if a > 0 else 0.0
 
     @property
     def x0(self) -> np.ndarray:
@@ -196,6 +197,11 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     safe_pts = pts.copy()
     safe_pts[~in_space] = [0.5 * grid.r_max, 0.0, 0.5 * (grid.z_min + grid.z_max)]
 
+    @functools.cache
+    def snapshot_samples(i: int) -> np.ndarray:  # once per cube; 0 outside the domain
+        vi = reconstruct_cartesian_many(history.snapshots[i].field, safe_pts)
+        return np.where(in_space[:, None], vi, 0.0)
+
     t_lo = history.times[0]
     v = np.zeros((nt, n, n, n, 3))
     valid = np.zeros((nt, n, n, n), bool)
@@ -204,14 +210,9 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
         if t_phys < t_lo - 1e-12 or t_phys > history.times[-1] + 1e-12:
             continue
         ia, ib, wt = _interp_field_at(history, t_phys)
-        va = reconstruct_cartesian_many(history.snapshots[ia].field, safe_pts)
-        if ib != ia and wt > 0:
-            vb = reconstruct_cartesian_many(history.snapshots[ib].field, safe_pts)
-            # incremental form: bitwise exact when both snapshots agree
-            vk = va + wt * (vb - va)
-        else:
-            vk = va
-        vk[~in_space] = 0.0
+        va = snapshot_samples(ia)
+        # incremental form: bitwise exact when both snapshots agree
+        vk = va + wt * (snapshot_samples(ib) - va) if ib != ia and wt > 0 else va
         v[k] = (vk / zoom.q).reshape(n, n, n, 3)
         valid[k] = in_space.reshape(n, n, n)
 
@@ -233,71 +234,81 @@ def swirl_smallness(sample: CubeSample) -> float:
     return float(sw.max())
 
 
-def _sum_leading(terms: np.ndarray) -> np.ndarray:
-    """Sum over the leading axis, in the order np.add.reduce sums a contiguous axis.
+# relative slack of the Holder bound: it covers the float32 weights and ht/hx^2,
+# the last-ulp spread of linspace ticks and the exact formula's rounding
+_BOUND_SLACK = 1e-6
 
-    numpy adds fewer than 8 terms in sequence; up to its block size of 128 it
-    keeps 8 interleaved partial sums, combines them pairwise and then adds the
-    remainder in sequence.  Following that order makes the result equal, bit
-    for bit, to a norm taken over a component-last layout.  ``terms`` is
-    overwritten.
-    """
-    n = len(terms)
-    if n < 8:
-        out = terms[0]
-        for k in range(1, n):
-            out += terms[k]
-        return out
-    r = terms[:8]
-    for k in range(8, n - n % 8, 8):
-        r += terms[k:k + 8]
-    r[0::2] += r[1::2]
-    r[0::4] += r[2::4]
-    out = r[0]
-    out += r[4]
-    for k in range(n - n % 8, n):
-        out += terms[k]
-    return out
+
+@functools.lru_cache(maxsize=8)
+def _lattice_weights(n: int, nt: int, rho: float, alpha: float) -> np.ndarray:
+    """d^(-2 alpha) for the (n^3, n^3) sample pairs m < nt time levels apart, in
+    lattice units (spatial step 1, time step rho), as float32; 0 where d = 0."""
+    s = sum((g[:, None] - g[None, :]) ** 2 for g in np.indices((n, n, n)).reshape(3, -1))
+    w = np.zeros((nt, n**3, n**3), np.float32)
+    for m in range(nt):
+        d2 = np.maximum(s, m * rho)
+        np.power(d2, -alpha, out=w[m], where=d2 > 0)
+    w.setflags(write=False)
+    return w
 
 
 def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
                     valid: np.ndarray, alpha: float) -> float:
     """max over pairs of valid samples of |values(a)-values(b)| / d_P(a,b)^alpha.
 
-    The samples sit on the lattice (ts[l], xs[i], xs[j], xs[k]): ``values`` is
-    (nt, n, n, n, C) and ``valid`` is (nt, n, n, n).  d_P is the parabolic
-    distance max(|dx|, sqrt(|dt|)); pairs closer than 1e-12 are skipped.
+    The samples sit on the evenly spaced lattice (ts[l], xs[i], xs[j], xs[k]),
+    n >= 2: ``values`` is (nt, n, n, n, C) and ``valid`` is (nt, n, n, n).  d_P
+    is the parabolic distance max(|dx|, sqrt(|dt|)); pairs closer than 1e-12
+    are skipped.
 
-    The pairs are taken per (t, x1) offset, over one half of the offsets
-    (the quotient is symmetric), with all pairs of the (x2, x3) plane at once.
-    Each pair goes through the same floating-point operations as a direct
-    evaluation of the two norms: the spatial distance is formed per pair,
-    because xs[i + o] - xs[i] varies in the last ulp with i.
+    Bound, then verify, per pair of time levels.  On the values centred on a
+    valid sample and scaled to at most 1 by a power of two, one matrix product
+    of the rows [f, |f|^2, 1] and [-2f, 1, |f|^2] gives |a - b|^2 for all pairs;
+    widening each |f|^2 by 4 (C + 2) eps bounds it from above in any summation
+    order.  Times the cached weights (d / hx)^(-2 alpha), hx^(-2 alpha) and
+    1 + _BOUND_SLACK, it bounds the squared quotient.  The valid pair with the
+    largest bound, then every valid pair whose bound exceeds the best quotient
+    so far, is evaluated with the floating-point operations of a direct
+    evaluation of the two norms, so the result is exact, bit for bit.
     """
     nt, n = valid.shape[:2]
-    plane = n * n
-    vals = np.ascontiguousarray(np.moveaxis(values.reshape(nt, n, plane, -1), -1, 0))
-    ok = valid.reshape(nt, n, plane)
-    x2, x3 = (g.ravel() for g in np.meshgrid(xs, xs, indexing="ij"))
-    dx2 = x2[:, None] - x2[None, :]
-    dx3 = x3[:, None] - x3[None, :]
-    sq2, sq3 = dx2 * dx2, dx3 * dx3
+    size = n**3
+    f = values.reshape(nt, size, -1)
+    ok = valid.reshape(nt, size)
+    coords = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(size, 3)
+    hx, ht = (xs[-1] - xs[0]) / (n - 1), (ts[-1] - ts[0]) / max(nt - 1, 1)
+    weights = _lattice_weights(n, nt, float(np.float32(ht / hx**2)), alpha)
+    g = f - f.reshape(nt * size, -1)[ok.argmax()]
+    e = np.frexp(np.abs(g[ok]).max(initial=0.0))[1]
+    g = np.ldexp(g, -e)
+    widen = 1 + 4 * (g.shape[-1] + 2) * np.finfo(float).eps
+    sq = np.einsum("lpc,lpc->lp", g, g)[..., None] * widen
+    lhs = np.concatenate([g, sq, np.ones_like(sq)], axis=-1)
+    rhs = np.concatenate([-2 * g, np.ones_like(sq), sq], axis=-1)
+    # below 2^-400 a square in the exact formula may be subnormal: verify every pair
+    scale = hx ** (2 * alpha) / (1 + _BOUND_SLACK) if e > -400 else 0.0
+
+    def exact(la: int, lb: int, pairs: np.ndarray) -> float:
+        a, b = np.divmod(pairs, size)
+        d = np.maximum(np.linalg.norm(coords[a] - coords[b], axis=-1),
+                       np.sqrt(np.abs(ts[la] - ts[lb])))
+        dv = np.linalg.norm(f[la, a] - f[lb, b], axis=-1)
+        keep = d > 1e-12
+        return float((dv[keep] / d[keep] ** alpha).max()) if keep.any() else 0.0
+
     best = 0.0
-    for di in range(1 - n, n):
-        ia = slice(max(0, -di), n - max(0, di))
-        ib = slice(ia.start + di, ia.stop + di)
-        dx1 = xs[ia] - xs[ib]
-        space = np.sqrt(((dx1 * dx1)[:, None, None] + sq2) + sq3)
-        for dl in range(0 if di >= 0 else 1, nt):
-            dt = ts[:nt - dl] - ts[dl:]
-            d = np.maximum(space, np.sqrt(np.abs(dt))[:, None, None, None])
-            mask = ok[:nt - dl, ia, :, None] & ok[dl:, ib, None, :] & (d > 1e-12)
-            if not mask.any():
-                continue
-            diff = vals[:, :nt - dl, ia, :, None] - vals[:, dl:, ib, None, :]
-            dv = np.sqrt(_sum_leading(np.multiply(diff, diff, out=diff)))
-            q = np.divide(dv, d ** alpha, out=np.zeros_like(dv), where=mask)
-            best = max(best, float(q.max()))
+    for la in range(nt):
+        for lb in range(la, nt):
+            bound = lhs[la] @ rhs[lb].T
+            bound *= weights[lb - la]
+            bound[~ok[la]] = -1.0
+            bound[:, ~ok[lb]] = -1.0
+            top = bound.argmax()
+            if bound.flat[top] >= 0:
+                best = max(best, exact(la, lb, np.array([top])))
+            pairs = np.flatnonzero(bound > np.ldexp(best, -e) ** 2 * scale)
+            for k in range(0, len(pairs), 4096):
+                best = max(best, exact(la, lb, pairs[k:k + 4096]))
     return best
 
 

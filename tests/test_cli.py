@@ -140,6 +140,24 @@ def test_microscope_writes_report(tmp_path):
     alpha_col = MICRO_COLUMNS.index("alpha")
     alphas = [float(r.split(",")[alpha_col]) for r in lines[1:]]
     assert alphas == sorted(alphas, reverse=True)
+    # every column but the mode is a plain number
+    for row in lines[1:]:
+        mode, *numbers = row.split(",")
+        assert mode in ("A", "B")
+        assert all(np.isfinite(float(x)) for x in numbers)
+
+
+def test_microscope_dump_removes_cubes_of_an_earlier_run(tmp_path):
+    out = tmp_path / "out"
+    cfg = _small_ring_config(tmp_path, out, "microscope:\n  sigma0: 80.0\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    # an earlier report with more rows left a cube that matches no row now
+    (out / "cube_0099.bin").write_bytes(b"stale")
+    assert main(["microscope", "--config", cfg, "--snapshots", str(out), "--dump-cubes"]) == 0
+    rows = len((out / "microscope.csv").read_text(encoding="utf-8").splitlines()) - 1
+    assert rows > 0
+    assert sorted(p.name for p in out.glob("cube_*.bin")) == \
+        [f"cube_{k:04d}.bin" for k in range(rows)]
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):

@@ -3,6 +3,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from axiswirl import microscope
 from axiswirl.fields import (
@@ -315,6 +317,101 @@ def test_lattice_holder_equals_all_pairs_oracle(n, nt, comps):
             got = microscope._lattice_holder(ts, xs, values, valid, alpha)
             assert got == _oracle_holder(ts, xs, values, valid, alpha)
             assert got > 0.0
+
+
+def _holder_case(case):
+    """(ts, xs, values, valid, alpha) inputs on which a bound can mislead."""
+    rng = np.random.default_rng(list(map(ord, case)))
+    if case == "constant_valid_data":
+        # masked samples hold other values; no pair of valid ones differs
+        xs, ts = np.linspace(-0.37, 0.37, 5), np.linspace(-0.37**2, 0.0, 3)
+        valid = rng.random((3, 5, 5, 5)) < 0.7
+        values = np.where(valid[..., None], 0.8, rng.normal(size=(3, 5, 5, 5, 3)))
+        return ts, xs, values, valid, 0.5
+    if case == "large_common_offset":
+        # |a|^2 + |b|^2 - 2 a.b is a small difference of large numbers
+        xs, ts = np.linspace(-0.37, 0.37, 5), np.linspace(-0.37**2, 0.0, 3)
+        values = 1e8 + 1e-4 * rng.normal(size=(3, 5, 5, 5, 3))
+        return ts, xs, values, rng.random((3, 5, 5, 5)) < 0.8, 0.5
+    if case == "two_pairs_tied":
+        # a spike whose only valid neighbours at the smallest distance are two
+        # face neighbours: on a dyadic lattice both quotients are equal
+        xs, ts = np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 0.0, 3)
+        values = np.zeros((3, 5, 5, 5, 3))
+        values[1, 2, 2, 2, 0] = 1.0
+        valid = np.ones((3, 5, 5, 5), bool)
+        valid[1, 1, 2, 2] = valid[1, 2, 3, 2] = valid[1, 2, 2, 1] = valid[1, 2, 2, 3] = False
+        return ts, xs, values, valid, 0.5
+    if case == "subnormal_squares":
+        # differences near 1e-162 square into subnormals, which the exact
+        # formula rounds to steps of 2^-1074; seed 5 gives a maximum that a
+        # bound without that rounding misses
+        rng = np.random.default_rng(5)
+        xs, ts = np.linspace(-0.37, 0.37, 4), np.linspace(-0.37**2, 0.0, 2)
+        values = 1e-162 * rng.normal(size=(2, 4, 4, 4, 8))
+        return ts, xs, values, rng.random((2, 4, 4, 4)) < 0.8, 0.5
+    if case == "near_tie":
+        # the maximum, at a face diagonal, beats a face neighbour pair by 1e-9
+        # relative, less than float32 rounding of its weight 2^-alpha lowers it
+        xs, ts = np.linspace(-1.0, 1.0, 3), np.array([0.0])
+        values = np.zeros((1, 3, 3, 3, 1))
+        values[0, 0, 0, 0] = 1.0
+        values[0, 2, 2, 2] = 2.0**0.25 * (1.0 + 1e-9)
+        valid = np.ones((1, 3, 3, 3), bool)
+        valid[0, 1, 2, 2] = valid[0, 2, 1, 2] = valid[0, 2, 2, 1] = False
+        return ts, xs, values, valid, 0.5
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case", ["constant_valid_data", "large_common_offset", "two_pairs_tied", "subnormal_squares",
+             "near_tie"])
+def test_lattice_holder_equals_oracle_where_a_bound_can_mislead(case):
+    ts, xs, values, valid, alpha = _holder_case(case)
+    got = microscope._lattice_holder(ts, xs, values, valid, alpha)
+    assert got == _oracle_holder(ts, xs, values, valid, alpha)
+    if case == "constant_valid_data":
+        assert got == 0.0
+    if case == "two_pairs_tied":
+        assert got == 1.0 / 0.5**alpha
+    if case == "near_tie":
+        assert got > 1.0
+
+
+def test_lattice_holder_equals_oracle_on_benchmark_cube_shapes():
+    # a 7-point, 5-level cube with a capped, non-dyadic half-edge, measured as
+    # constant_closeness measures it: D2v on the spatial interior, the time
+    # derivative on the inner levels; the first level lies before the history
+    rng = np.random.default_rng(7)
+    length = 0.5 * 1.37 * 1.09
+    xs = np.linspace(-length, length, 7)
+    ts = np.linspace(-length**2, 0.0, 5)
+    hess = rng.normal(size=(5, 5, 5, 5, 18)) + np.linspace(0.0, 3.0, 5)[:, None, None, None, None]
+    hess_valid = np.ones((5, 5, 5, 5), bool)
+    hess_valid[0] = False
+    # the time derivative changes mostly from level to level, so its maximum
+    # pairs two levels, where the time step in lattice units matters
+    dt = np.arange(3.0)[:, None, None, None, None] + 0.01 * rng.normal(size=(3, 7, 7, 7, 3))
+    dt_valid = rng.random((3, 7, 7, 7)) < 0.9
+    for args in ((ts, xs[1:-1], hess, hess_valid), (ts[1:-1], xs, dt, dt_valid)):
+        got = microscope._lattice_holder(*args, 0.5)
+        assert got == _oracle_holder(*args, 0.5) > 0.0
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), nt=st.integers(1, 4), comps=st.integers(1, 20),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       length=st.floats(1e-3, 1e3), offset=st.sampled_from([0.0, 1.0, -3e4, 1e8]),
+       keep=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_lattice_holder_property(n, nt, comps, alpha, length, offset, keep, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-length, length, n)
+    ts = np.linspace(-length**2, 0.0, nt)
+    values = offset + rng.normal(size=(nt, n, n, n, comps))
+    valid = rng.random((nt, n, n, n)) < keep
+    valid.flat[seed % valid.size] = True
+    got = microscope._lattice_holder(ts, xs, values, valid, alpha)
+    assert got == _oracle_holder(ts, xs, values, valid, alpha)
 
 
 def test_lattice_holder_needs_two_valid_samples():
