@@ -5,7 +5,6 @@ from .fields import (
     Grid,
     ScalarField,
     SnapshotHistory,
-    apply_axis_conditions,
     make_grid,
     max_rspeed,
     max_speed,
@@ -26,7 +25,6 @@ __all__ = [
     "ScalarField",
     "SnapshotHistory",
     "SolverConfig",
-    "apply_axis_conditions",
     "build_divergence_matrix",
     "divergence",
     "make_grid",

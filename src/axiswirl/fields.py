@@ -1,8 +1,9 @@
-"""Grids, axisymmetric velocity fields, axis conditions, interpolation and maxima scans.
+"""Grids, axisymmetric velocity fields, interpolation, maxima scans and snapshot I/O.
 
 All fields live on a collocated node grid in the meridional (r, z) plane.
 The axis r = 0 is a grid line; radial/azimuthal components are odd across it,
-the axial component and pressure are even.
+the axial component and pressure are even.  The solver's boundary conditions
+are the one place that sets the axis nodes.
 """
 from __future__ import annotations
 
@@ -132,16 +133,6 @@ class SnapshotHistory:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
-
-
-def apply_axis_conditions(fld: AxisymField) -> AxisymField:
-    """Enforce vr(0,z)=0, vtheta(0,z)=0 and one-sided d_r vz(0,z)=0 (even extrapolation)."""
-    out = fld.copy()
-    out.vr[0, :] = 0.0
-    out.vtheta[0, :] = 0.0
-    # second-order one-sided derivative (-3f0+4f1-f2)/(2dr) = 0
-    out.vz[0, :] = (4.0 * out.vz[1, :] - out.vz[2, :]) / 3.0
-    return out
 
 
 def bilinear_sample(grid: Grid, values: np.ndarray, r, z):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import AxisymField, Grid, apply_axis_conditions
+from .fields import AxisymField, Grid
 from .solver import volume_weights
 
 
@@ -124,7 +124,7 @@ def vortex_ring_swirl(spec: DataSpec, grid: Grid) -> AxisymField:
     vtheta = spec.swirl_amplitude * (R / spec.ring_r) * _gaussian_blob(
         grid, spec.ring_r, spec.ring_z, spec.core_radius
     )
-    fld = apply_axis_conditions(AxisymField(grid, vr, vtheta, vz))
+    fld = AxisymField(grid, vr, vtheta, vz)
     sup, l2, rsup = n0_norms(fld)
     worst = max(sup, l2, rsup)
     if worst > 0:
@@ -152,7 +152,7 @@ def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
         vr += dvr
         vz += dvz
         vtheta += rng.normal() * (grid.r[:, None] / r_c) * _gaussian_blob(grid, r_c, z_c, delta)
-    fld = apply_axis_conditions(AxisymField(grid, vr, vtheta, vz))
+    fld = AxisymField(grid, vr, vtheta, vz)
     sup, l2, rsup = n0_norms(fld)
     worst = max(sup, l2, rsup)
     if worst > 0:

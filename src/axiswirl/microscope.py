@@ -104,7 +104,6 @@ class CubeSample:
 @dataclass
 class ClosenessReport:
     c_star: np.ndarray
-    c_mean: np.ndarray
     sup_dist: float
     grad_sup: float
     hess_sup: float
@@ -333,7 +332,6 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
     valid = sample.valid
 
     c_star = sample.center_value.copy()
-    c_mean = v[valid].mean(axis=0)
 
     dist = np.linalg.norm(v - c_star, axis=-1)
     sup_dist = float(dist[valid].max())
@@ -391,7 +389,6 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
 
     return ClosenessReport(
         c_star=c_star,
-        c_mean=c_mean,
         sup_dist=sup_dist,
         grad_sup=grad_sup,
         hess_sup=hess_sup,

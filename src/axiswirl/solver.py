@@ -10,9 +10,13 @@ the discrete-adjoint gradient of the divergence operator, so the
 post-projection divergence equals the Poisson solve residual (times the
 stage's time increment) at every node, boundary rows included.  Its pressure
 operator is diagonalised the same way, which makes the CG preconditioner an
-exact inverse: a projection takes one iteration and no factor is stored.
+exact inverse: a projection takes one iteration, no factor is stored, and
+no state is kept from one projection to the next.
 
 Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
+The boundary conditions own the axis: vr and vtheta vanish there, and vz's
+axis row is an unknown of the implicit solve and of the projection, whose
+stencils take its even-parity limit.
 """
 from __future__ import annotations
 
@@ -28,7 +32,6 @@ from .fields import (
     Grid,
     ScalarField,
     SnapshotHistory,
-    apply_axis_conditions,
     boundary_max,
     max_rspeed,
     max_speed,
@@ -229,9 +232,9 @@ class ProjectionOperator:
     generalised eigenvectors (V^T B V = I) of the definite pencils
     (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964),
     so the preconditioner M r = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact
-    inverse on its range.  M is zero on K's 6-dimensional kernel, so neither
-    it nor the CG iterates have a kernel component: the pressure is set by
-    the flow, not by the warm start.  The velocity update is the adjoint
+    inverse on its range.  M is zero on K's 6-dimensional kernel and CG
+    starts from zero, so the iterates have no kernel component: the pressure
+    is set by the flow alone.  The velocity update is the adjoint
     gradient B W^-1 D^T s, which reduces in the interior to the
     centered-difference pressure gradient matching the divergence stencil.
 
@@ -277,30 +280,23 @@ class ProjectionOperator:
             return (Vr @ ((Vr.T @ r.reshape(grid.shape) @ Vz) * lam_inv) @ Vz.T).ravel()
 
         self._M = spla.LinearOperator(self._K.shape, apply_inverse, dtype=np.float64)
-        self._s_prev: np.ndarray | None = None
 
-    def solve(self, rhs: np.ndarray, atol: float) -> np.ndarray:
-        """CG solve of K s = rhs; stop at absolute 2-norm residual atol."""
-        b = rhs.ravel()
-        s, info = spla.cg(
-            self._K, b, x0=self._s_prev, rtol=0.0, atol=atol,
-            maxiter=POISSON_MAX_ITER, M=self._M,
-        )
+    def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, ScalarField]:
+        """(projected field, pressure); CG starts from zero, so a field whose
+        divergence has 2-norm below ``tol`` comes back bit for bit."""
+        g = self.grid
+        div = divergence(self.D, u_star).ravel()
+        if np.max(np.abs(div)) == 0.0:
+            return u_star.copy(), ScalarField(g, np.zeros(g.shape))
+        b = div / dt
+        s, info = spla.cg(self._K, b, rtol=0.0, atol=self.tol / dt,
+                          maxiter=POISSON_MAX_ITER, M=self._M)
         if info != 0:
             achieved = float(np.linalg.norm(b - self._K @ s) / max(np.linalg.norm(b), 1e-300))
             raise PoissonError(
                 f"projection solve did not converge (info={info}, residual={achieved:.3e})",
                 achieved,
             )
-        self._s_prev = s
-        return s
-
-    def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, ScalarField]:
-        g = self.grid
-        div = divergence(self.D, u_star).ravel()
-        if np.max(np.abs(div)) == 0.0:
-            return u_star.copy(), ScalarField(g, np.zeros(g.shape))
-        s = self.solve(div / dt, atol=self.tol / dt)
         grad = np.zeros(2 * self._npts)
         grad[self._mask] = (self.D.T @ s)[self._mask] / self._wu[self._mask]
         out = u_star.copy()
@@ -441,7 +437,6 @@ class AxisymSolver:
                  step0: int = 0):
         self.config = config
         self.grid = initial.grid
-        self.state = apply_axis_conditions(initial)
         self.t = float(t0)
         self.step_count = step0
         self.projection = ProjectionOperator(self.grid, tol=config.projection_tol)
@@ -451,14 +446,15 @@ class AxisymSolver:
         if config.boundary == "hold":
             # per component: the r = r_max row and the z_min and z_max columns
             self._held = {name: (a[-1, :].copy(), a[:, 0].copy(), a[:, -1].copy())
-                          for name, a in (("vr", self.state.vr), ("vtheta", self.state.vtheta),
-                                          ("vz", self.state.vz))}
-        self.state = self._apply_bcs(self.state)
+                          for name, a in (("vr", initial.vr), ("vtheta", initial.vtheta),
+                                          ("vz", initial.vz))}
         # clean the initial divergence so every reported state is projected
-        self.state, _ = self.projection.project(self.state, 1.0)
+        self.state, _ = self.projection.project(self._apply_bcs(initial), 1.0)
 
     def _apply_bcs(self, fld: AxisymField) -> AxisymField:
-        out = apply_axis_conditions(fld)
+        """A copy of ``fld`` with the far-field nodes set by the boundary mode,
+        then vr and vtheta zero on the axis; vz's axis row is an unknown."""
+        out = fld.copy()
         if self._held is None:
             for arr in (out.vr, out.vtheta, out.vz):
                 arr[-1, :] = 0.0
@@ -472,6 +468,7 @@ class AxisymSolver:
             out.vtheta[-1, :] = self._held["vtheta"][0]
             out.vtheta[:, 0] = out.vtheta[:, 1]
             out.vtheta[:, -1] = out.vtheta[:, -2]
+        out.vr[0, :] = out.vtheta[0, :] = 0.0
         return out
 
     def current_dt(self) -> float:
@@ -532,7 +529,10 @@ class AxisymSolver:
         the step count is a multiple of ``config.snapshot_every``.  The caller
         reports the state it starts from."""
         while self.t < t_end - 1e-14:
-            self.step(min(self.current_dt(), t_end - self.t))
+            dt = self.current_dt()
+            # a remainder within 1e-9 dt of dt is a full step: a run stopped at a
+            # time the uninterrupted run reaches then ends exactly where it does
+            self.step(dt if t_end - self.t >= (1.0 - 1e-9) * dt else t_end - self.t)
             if on_diagnostics is not None:
                 on_diagnostics(self.record_diagnostics())
             if on_snapshot is not None and self.step_count % self.config.snapshot_every == 0:

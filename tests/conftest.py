@@ -1,4 +1,6 @@
-"""Shared fixtures: small grids and canned fields used across the suite."""
+"""Shared fixtures: small grids, canned fields and run outputs used across the suite."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -25,3 +27,10 @@ def rigid_rotation(grid, omega=0.7):
     fld = AxisymField.zeros(grid)
     fld.vtheta = omega * grid.r[:, None] * np.ones(grid.shape)
     return fld
+
+
+def run_outputs(directory):
+    """{file name: bytes} of a run directory's diagnostics.csv and snap_*.bin files."""
+    directory = Path(directory)
+    paths = [directory / "diagnostics.csv", *sorted(directory.glob("snap_*.bin"))]
+    return {p.name: p.read_bytes() for p in paths}

@@ -32,6 +32,8 @@ from axiswirl.microscope import (
 from axiswirl.solver import AxisymSolver, SolverConfig
 from axiswirl.validation import lamb_oseen_run
 
+from conftest import run_outputs
+
 pytestmark = pytest.mark.acceptance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -263,11 +265,11 @@ def test_pipeline_determinism(tmp_path):
         assert main(["simulate", "--config", str(cfg_path)]) == 0
         assert main(["microscope", "--config", str(cfg_path),
                      "--snapshots", str(out)]) == 0
-        diag = (out / "diagnostics.csv").read_bytes()
         micro = (out / "microscope.csv").read_bytes()
         rows = len(micro.splitlines()) - 1
-        blobs.append((diag, micro))
+        blobs.append((run_outputs(out), micro))
     ok = blobs[0] == blobs[1] and rows > 0
-    _report("determinism", ok, f"identical CSVs across two runs, {rows} microscope rows")
+    _report("determinism", ok,
+            f"identical CSVs and snapshots across two runs, {rows} microscope rows")
     assert blobs[0] == blobs[1]
     assert rows > 0

@@ -11,6 +11,8 @@ from axiswirl.fields import SnapshotHistory, make_grid, read_snapshot
 from axiswirl.initial import generate
 from axiswirl.solver import AxisymSolver
 
+from conftest import run_outputs
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
@@ -272,6 +274,43 @@ def test_fresh_run_removes_snapshots_of_an_earlier_run(tmp_path):
     assert main(["simulate", "--config", _resume_config(tmp_path, out, "9e-3")]) == 0
     assert main(["simulate", "--config", _resume_config(tmp_path, out, "3e-3")]) == 0
     assert _steps_and_snapshots(out) == ([0, 1, 2, 3], [0, 2, 3])
+
+
+def _simulate_ring(tmp_path, out, solver, t_end, n0=1.0, resume=False):
+    """Run the 16² ring with the ``solver`` keys to ``t_end`` into ``out``;
+    its run_outputs."""
+    keys = "".join(f"  {k}: {v}\n" for k, v in {**solver, "t_end": t_end}.items())
+    cfg = _write(tmp_path / "ring.yaml",
+                 "grid:\n  nr: 16\n  nz: 16\n" f"solver:\n{keys}"
+                 f"data:\n  kind: vortex_ring_swirl\n  n0: {n0}\n"
+                 f"output:\n  directory: {out}\n")
+    assert main(["simulate", "--config", cfg] + ["--resume"] * resume) == 0
+    return run_outputs(out)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_resumed_run_writes_the_uninterrupted_runs_bytes(tmp_path, boundary):
+    # stopped at step 30, on the snapshot cadence, and resumed to step 60
+    solver = {"dt": "5e-3", "snapshot_every": 5, "boundary": boundary}
+    whole = _simulate_ring(tmp_path, tmp_path / "whole", solver, 0.3)
+    _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.15)
+    assert len(whole) == 14  # diagnostics.csv and 13 snapshots
+    assert _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.3, resume=True) == whole
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_cfl_run_resumed_from_one_of_its_own_times_writes_its_bytes(tmp_path, boundary):
+    # the step follows the decaying speed, so the stop is a sum of unequal
+    # steps: the run to it must land on it with a full step, as the
+    # uninterrupted run does
+    solver = {"cfl": 0.2, "mu": 0.1, "snapshot_every": 2, "boundary": boundary}
+    whole = _simulate_ring(tmp_path, tmp_path / "whole", solver, 0.1, n0=30.0)
+    t = [row.split(",")[DIAG_COLUMNS.index("t")]
+         for row in whole["diagnostics.csv"].decode().splitlines()[1:]]
+    assert len(t) > 12 and np.ptp(np.diff(np.array(t, float))) > 0.5 * float(t[1])
+    _simulate_ring(tmp_path, tmp_path / "resumed", solver, t[10], n0=30.0)
+    assert _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.1, n0=30.0,
+                          resume=True) == whole
 
 
 def test_sweep_writes_summary(tmp_path):

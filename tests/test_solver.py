@@ -15,7 +15,6 @@ from axiswirl.fields import (
     AxisymField,
     ScalarField,
     SnapshotHistory,
-    apply_axis_conditions,
     make_grid,
 )
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_profile
@@ -309,7 +308,7 @@ def test_divergence_matrix_equals_loop_oracle(dims):
 
 def _walled_ring(g):
     """The ring with the solver's no-slip walls, so its boundary flux is compatible."""
-    fld = apply_axis_conditions(generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g))
+    fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
     for arr in (fld.vr, fld.vtheta, fld.vz):
         arr[-1, :] = arr[:, 0] = arr[:, -1] = 0.0
     return fld
@@ -361,7 +360,7 @@ def test_projection_gives_up_after_max_iter_on_incompatible_flux(monkeypatch):
     _count_preconditioner_applications(monkeypatch)
     g = make_grid(24, 40, 1.5, -2.0, 5.0)
     op = ProjectionOperator(g)
-    fld = apply_axis_conditions(generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g))
+    fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
     with pytest.raises(PoissonError):
         op.project(fld, dt=1.0)
     assert len(op._M.applications) == POISSON_MAX_ITER
@@ -375,20 +374,20 @@ def test_projection_setup_applies_no_preconditioner(monkeypatch, grid16):
     assert op._M.applications == []
 
 
-def test_projected_pressure_does_not_depend_on_the_warm_start():
-    # CG starts from the previous pressure; with no kernel component in the
-    # preconditioner or the iterates, two operators with different previous
-    # pressures return the same pressure for one field
+def test_projection_keeps_no_state_between_calls():
+    # an operator that has projected another field returns the same bits for
+    # one field as a fresh operator
     g = make_grid(64, 64, 4.0, -4.0, 4.0)
     fld = _walled_ring(g)
     fresh, used = ProjectionOperator(g), ProjectionOperator(g)
     other = fld.copy()
     other.vr *= 2.0
     used.project(other, dt=1e-3)
-    _, p_fresh = fresh.project(fld, dt=1e-3)
-    _, p_used = used.project(fld, dt=1e-3)
-    sup = np.max(np.abs(p_fresh.values))
-    assert np.max(np.abs(p_used.values - p_fresh.values)) <= 1e-10 * sup
+    u_fresh, p_fresh = fresh.project(fld, dt=1e-3)
+    u_used, p_used = used.project(fld, dt=1e-3)
+    for name in ("vr", "vtheta", "vz"):
+        np.testing.assert_array_equal(getattr(u_used, name), getattr(u_fresh, name))
+    np.testing.assert_array_equal(p_used.values, p_fresh.values)
 
 
 def test_projection_operator_is_freed_without_cycle_collection(grid16):
@@ -481,7 +480,7 @@ def test_projection_diagnostics_and_check_read_one_divergence(monkeypatch, ring_
 
 
 def test_project_swirl_only_unchanged(grid16):
-    fld = apply_axis_conditions(rigid_rotation(grid16))
+    fld = rigid_rotation(grid16)
     out, p = ProjectionOperator(grid16).project(fld, dt=1e-3)
     np.testing.assert_allclose(out.vr, fld.vr, atol=1e-14)
     np.testing.assert_allclose(out.vz, fld.vz, atol=1e-14)
@@ -493,7 +492,6 @@ def test_project_removes_radial_divergence(grid16):
     # configured bound at every node, boundary rows included
     fld = AxisymField.zeros(grid16)
     fld.vr = grid16.r[:, None] * np.ones(grid16.shape)
-    fld = apply_axis_conditions(fld)
     fld.vr[-1, :] = 0.0
     fld.vr[:, 0] = 0.0
     fld.vr[:, -1] = 0.0
@@ -521,10 +519,11 @@ HELMHOLTZ_GRID = (24, 40, 2.7, -2.0, 5.0)
 
 
 def _with_boundary_values(g, rng, fld, neumann_swirl):
-    """``fld`` after the axis conditions (which also reset vz's axis row, a node
-    the solve treats as unknown), with random values on the outer boundaries
-    and, if asked, vtheta's z ends copying their neighbour."""
-    out = apply_axis_conditions(fld)
+    """A copy of ``fld`` with vr and vtheta zero on the axis (vz's axis row, a
+    node the solve treats as unknown, keeps its value), random values on the
+    outer boundaries and, if asked, vtheta's z ends copying their neighbour."""
+    out = fld.copy()
+    out.vr[0, :] = out.vtheta[0, :] = 0.0
     for arr in (out.vr, out.vtheta, out.vz):
         arr[-1, :] = rng.normal(size=g.nz + 1)
         arr[:, 0] = rng.normal(size=g.nr + 1)
@@ -672,6 +671,22 @@ def test_history_record_keeps_a_copy(grid16):
     np.testing.assert_array_equal(kept.field.vtheta, solver.state.vtheta)
     solver.state.vtheta[:] = 0.0
     assert np.any(kept.field.vtheta != 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_constructor_keeps_a_stepped_state_bit_for_bit(n, boundary):
+    # a resumed run starts from a reported state through the constructor,
+    # which applies the boundary conditions and projects: both must keep
+    # every bit of it
+    cfg = SolverConfig(cfl=0.4, boundary=boundary)
+    g = make_grid(n, n, 4.0, -4.0, 4.0)
+    solver = AxisymSolver(generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g), cfg)
+    for _ in range(6):
+        solver.step()
+    again = AxisymSolver(solver.state, cfg)
+    for name in ("vr", "vtheta", "vz"):
+        assert getattr(again.state, name).tobytes() == getattr(solver.state, name).tobytes(), name
 
 
 # ---------------------------------------------------------------------------
