@@ -14,7 +14,6 @@ from .solver import (
     SolverConfig,
     build_divergence_matrix,
     divergence,
-    mms_residual,
     momentum_rhs,
 )
 
@@ -30,6 +29,5 @@ __all__ = [
     "make_grid",
     "max_rspeed",
     "max_speed",
-    "mms_residual",
     "momentum_rhs",
 ]

@@ -148,8 +148,7 @@ def run_validate(cfg: RunConfig) -> int:
     solver = AxisymSolver(initial, dataclasses.replace(cfg.solver, snapshot_every=1))
     history.record(solver)
     solver.run(cfg.solver.t_end, on_snapshot=history.record)
-    reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants,
-                                  cfg.solver.projection_tol, cfg.solver.mu)
+    reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants, cfg.solver)
     for rep in reports:
         print(f"{rep['name']}: measured={rep['measured']:.6g} bound={rep['bound']:.6g} "
               f"margin={rep['margin']:.3g} {'PASS' if rep['pass'] else 'FAIL'}")

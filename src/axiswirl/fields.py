@@ -218,6 +218,11 @@ def max_rspeed(fld: AxisymField) -> tuple[float, tuple[float, float]]:
     return float(sp[i, j]), (float(i * g.dr), float(g.z_min + j * g.dz))
 
 
+def max_rvtheta(fld: AxisymField) -> float:
+    """Global maximum of r*|vtheta| over nodes."""
+    return float(np.max(fld.grid.r[:, None] * np.abs(fld.vtheta)))
+
+
 def boundary_max(fld: AxisymField) -> float:
     """Largest speed on the far-field boundary (r=r_max, z=z_min, z=z_max)."""
     sp = fld.speed()

@@ -97,16 +97,26 @@ def n0_norms(fld: AxisymField) -> tuple[float, float, float]:
     return float(sp.max()), l2, float((fld.grid.r[:, None] * sp).max())
 
 
+def _scaled_to_n0(fld: AxisymField, n0: float) -> AxisymField:
+    """``fld`` scaled in place so that the largest of its three norms is n0."""
+    sup, l2, rsup = n0_norms(fld)
+    worst = max(sup, l2, rsup)
+    if worst > 0:
+        scale = n0 / worst
+        fld.vr *= scale
+        fld.vtheta *= scale
+        fld.vz *= scale
+    return fld
+
+
 def check_n0_bounds(fld: AxisymField, n0: float) -> dict:
     """Report the three initial-bound numbers and pass/fail against n0."""
     sup, l2, rsup = n0_norms(fld)
-    swirl_rsup = float((fld.grid.r[:, None] * np.abs(fld.vtheta)).max())
     ok = sup <= n0 * (1 + 1e-12) and l2 <= n0 * (1 + 1e-12) and rsup <= n0 * (1 + 1e-12)
     return {
         "sup": sup,
         "l2": l2,
         "rsup": rsup,
-        "rsup_swirl": swirl_rsup,
         "n0": n0,
         "pass": ok,
     }
@@ -124,15 +134,7 @@ def vortex_ring_swirl(spec: DataSpec, grid: Grid) -> AxisymField:
     vtheta = spec.swirl_amplitude * (R / spec.ring_r) * _gaussian_blob(
         grid, spec.ring_r, spec.ring_z, spec.core_radius
     )
-    fld = AxisymField(grid, vr, vtheta, vz)
-    sup, l2, rsup = n0_norms(fld)
-    worst = max(sup, l2, rsup)
-    if worst > 0:
-        scale = spec.n0 / worst
-        fld.vr *= scale
-        fld.vtheta *= scale
-        fld.vz *= scale
-    return fld
+    return _scaled_to_n0(AxisymField(grid, vr, vtheta, vz), spec.n0)
 
 
 def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
@@ -152,15 +154,7 @@ def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
         vr += dvr
         vz += dvz
         vtheta += rng.normal() * (grid.r[:, None] / r_c) * _gaussian_blob(grid, r_c, z_c, delta)
-    fld = AxisymField(grid, vr, vtheta, vz)
-    sup, l2, rsup = n0_norms(fld)
-    worst = max(sup, l2, rsup)
-    if worst > 0:
-        scale = spec.n0 / worst
-        fld.vr *= scale
-        fld.vtheta *= scale
-        fld.vz *= scale
-    return fld
+    return _scaled_to_n0(AxisymField(grid, vr, vtheta, vz), spec.n0)
 
 
 def generate(spec: DataSpec, grid: Grid) -> AxisymField:

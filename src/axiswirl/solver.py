@@ -9,9 +9,9 @@ stability limit, dt is set by the advective CFL alone.  The projection uses
 the discrete-adjoint gradient of the divergence operator, so the
 post-projection divergence equals the Poisson solve residual (times the
 stage's time increment) at every node, boundary rows included.  Its pressure
-operator is diagonalised the same way, which makes the CG preconditioner an
-exact inverse: a projection takes one iteration, no factor is stored, and
-no state is kept from one projection to the next.
+operator is diagonalised the same way, so the pressure solve is one
+application of its exact inverse: no factor is stored, and no state is kept
+from one projection to the next.
 
 Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
 The boundary conditions own the axis: vr and vtheta vanish there, and vz's
@@ -25,15 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .fields import (
     AxisymField,
     Grid,
     ScalarField,
-    SnapshotHistory,
     boundary_max,
     max_rspeed,
+    max_rvtheta,
     max_speed,
 )
 
@@ -52,12 +51,6 @@ class UnstableError(RuntimeError):
     def __init__(self, msg: str, t: float):
         super().__init__(msg)
         self.t = t
-
-
-# with the exact preconditioner every projection of the test suite and the
-# benchmark workloads takes one CG iteration; a field whose boundary flux no
-# pressure can remove reaches this bound within milliseconds and fails
-POISSON_MAX_ITER = 30
 
 
 @dataclass
@@ -225,23 +218,22 @@ def kinetic_energy(fld: AxisymField) -> float:
 class ProjectionOperator:
     """Exact discrete Helmholtz projection onto divergence-free fields.
 
-    Solves K s = div(u*)/dt, K = D_f W^-1 D_f^T, with CG.  On the free nodes
+    Solves K s = div(u*)/dt, K = D_f W^-1 D_f^T, directly.  On the free nodes
     K = Kr (x) Pz + Mr (x) Kz, from the 1D divergence operators Ar and Az
     (slices of D): Kr = Ar_f Wr^-1 Ar_f^T, Mr = Wr^-1 on the free vz rows,
     Kz = Az_f Az_f^T and Pz the identity on the free vr columns.  The
     generalised eigenvectors (V^T B V = I) of the definite pencils
     (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964),
-    so the preconditioner M r = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact
-    inverse on its range.  M is zero on K's 6-dimensional kernel and CG
-    starts from zero, so the iterates have no kernel component: the pressure
-    is set by the flow alone.  The velocity update is the adjoint
-    gradient B W^-1 D^T s, which reduces in the interior to the
+    so s = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact inverse applied to R on
+    K's range.  It is zero on K's 6-dimensional kernel, so s has no kernel
+    component: the pressure is set by the flow alone.  The velocity update is
+    the adjoint gradient B W^-1 D^T s, which reduces in the interior to the
     centered-difference pressure gradient matching the divergence stencil.
 
-    ``tol`` bounds the sup-norm divergence of the projected field: the CG stop
-    is the absolute residual tol/dt, and the residual of the solve equals the
-    remaining divergence divided by dt node for node.  ``D`` is the divergence
-    matrix; the diagnostics apply it too.
+    ``tol`` bounds the divergence of the projected field in the 2-norm, and so
+    at every node: the remaining divergence is dt times the residual of the
+    solve, and a projection that leaves more raises PoissonError.  ``D`` is
+    the divergence matrix; the diagnostics apply it too.
     """
 
     def __init__(self, grid: Grid, tol: float = 1e-10):
@@ -259,49 +251,44 @@ class ProjectionOperator:
         self._mask = np.concatenate([free_vr.ravel(), free_vz.ravel()])
         self._wp = w.ravel()
         self._wu = np.concatenate([self._wp, self._wp])
-        Df = D[:, self._mask].tocsr()
-        self._K = (Df @ sp.diags(1.0 / self._wu[self._mask]) @ Df.T).tocsr()
         # Ar: the vr half at z index 0; Az: the vz half at r index 0
         Ar = D[:npts:nz + 1, :npts:nz + 1].toarray()[:, 1:-1]
         Az = D[:nz + 1, npts:npts + nz + 1].toarray()[:, 1:-1]
         wr = w[:, 1]  # an inner z column: the radial weights times dr dz
         Kr = (Ar / wr[1:-1]) @ Ar.T
         Kz = Az @ Az.T
-        phi, Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
-        theta, Vz = scipy.linalg.eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
+        phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
+        theta, self._Vz = scipy.linalg.eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
         lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta
         # lam lies in [0, 1]: roundoff (< 1e-13) on the kernel, O(h^2) above it
-        lam_inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam >= 1e-9)
+        self._lam_inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam >= 1e-9)
 
-        # the preconditioner refers to the eigenvectors and not to self: a
-        # reference cycle would keep each operator alive until the cyclic
-        # collector runs; with its dtype given, scipy need not call it to infer it
-        def apply_inverse(r: np.ndarray) -> np.ndarray:
-            return (Vr @ ((Vr.T @ r.reshape(grid.shape) @ Vz) * lam_inv) @ Vz.T).ravel()
-
-        self._M = spla.LinearOperator(self._K.shape, apply_inverse, dtype=np.float64)
+    def _inverse(self, r: np.ndarray) -> np.ndarray:
+        """K's exact inverse on its range applied to the nodal vector ``r``."""
+        Vr, Vz = self._Vr, self._Vz
+        return (Vr @ ((Vr.T @ r.reshape(self.grid.shape) @ Vz) * self._lam_inv) @ Vz.T).ravel()
 
     def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, ScalarField]:
-        """(projected field, pressure); CG starts from zero, so a field whose
-        divergence has 2-norm below ``tol`` comes back bit for bit."""
+        """(projected field, pressure); a field whose divergence has 2-norm
+        below ``tol`` comes back bit for bit."""
         g = self.grid
         div = divergence(self.D, u_star).ravel()
-        if np.max(np.abs(div)) == 0.0:
+        div_norm = float(np.linalg.norm(div))
+        if div_norm < self.tol:
             return u_star.copy(), ScalarField(g, np.zeros(g.shape))
-        b = div / dt
-        s, info = spla.cg(self._K, b, rtol=0.0, atol=self.tol / dt,
-                          maxiter=POISSON_MAX_ITER, M=self._M)
-        if info != 0:
-            achieved = float(np.linalg.norm(b - self._K @ s) / max(np.linalg.norm(b), 1e-300))
-            raise PoissonError(
-                f"projection solve did not converge (info={info}, residual={achieved:.3e})",
-                achieved,
-            )
+        s = self._inverse(div / dt)
         grad = np.zeros(2 * self._npts)
         grad[self._mask] = (self.D.T @ s)[self._mask] / self._wu[self._mask]
         out = u_star.copy()
         out.vr -= dt * grad[: self._npts].reshape(g.shape)
         out.vz -= dt * grad[self._npts:].reshape(g.shape)
+        left = float(np.linalg.norm(divergence(self.D, out)))
+        if left > self.tol:
+            raise PoissonError(
+                f"projection left divergence {left:.3e} above tol {self.tol:.3e} "
+                f"(residual {left / div_norm:.3e})",
+                left / div_norm,
+            )
         p = ScalarField(g, (-s / self._wp).reshape(g.shape))
         return out, p
 
@@ -509,7 +496,6 @@ class AxisymSolver:
     def record_diagnostics(self) -> DiagnosticsRecord:
         q, (qr, qz) = max_speed(self.state)
         rsp, _ = max_rspeed(self.state)
-        rvt = float(np.max(self.grid.r[:, None] * np.abs(self.state.vtheta)))
         return DiagnosticsRecord(
             step=self.step_count,
             t=self.t,
@@ -517,7 +503,7 @@ class AxisymSolver:
             argmax_r=qr,
             argmax_z=qz,
             r_speed=rsp,
-            max_rvtheta=rvt,
+            max_rvtheta=max_rvtheta(self.state),
             energy=kinetic_energy(self.state),
             max_divergence=float(np.max(np.abs(divergence(self.projection.D, self.state)))),
             boundary_max=boundary_max(self.state),
@@ -538,74 +524,3 @@ class AxisymSolver:
             if on_snapshot is not None and self.step_count % self.config.snapshot_every == 0:
                 on_snapshot(self)
 
-
-# ---------------------------------------------------------------------------
-# space-time residual evaluation on stored snapshots
-# ---------------------------------------------------------------------------
-
-def _centered(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
-
-
-def _second(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
-    return (np.roll(arr, -1, axis) - 2 * arr + np.roll(arr, 1, axis)) / h**2
-
-
-def mms_residual(history: SnapshotHistory, window: tuple[float, float] | None = None,
-                 mu: float = 1.0, margin: int = 2) -> dict[str, dict[str, float]]:
-    """Per-equation residual norms of the momentum system on stored snapshots.
-
-    Time derivatives are centered over consecutive snapshots; spatial terms are
-    centered second order; norms are taken over interior nodes at least
-    ``margin`` away from every boundary.  Needs at least 3 snapshots in window.
-    """
-    snaps = list(history)
-    if window is not None:
-        snaps = [s for s in snaps if window[0] - 1e-14 <= s.t <= window[1] + 1e-14]
-    if len(snaps) < 3:
-        raise ValueError(f"need at least 3 snapshots for the time derivative, have {len(snaps)}")
-    g = snaps[0].field.grid
-    dr, dz = g.dr, g.dz
-    w = volume_weights(g)
-    sl = (slice(margin, -margin), slice(margin, -margin))
-    r = g.r[:, None]
-
-    sup = {k: 0.0 for k in ("vr", "vtheta", "vz", "div")}
-    ssq = {k: 0.0 for k in ("vr", "vtheta", "vz", "div")}
-    wsum = 0.0
-
-    for k in range(1, len(snaps) - 1):
-        tm, t0, tp = snaps[k - 1].t, snaps[k].t, snaps[k + 1].t
-        hm, hp = t0 - tm, tp - t0
-        fm, f0, fp = snaps[k - 1].field, snaps[k].field, snaps[k + 1].field
-        p = snaps[k].pressure.values
-
-        def dt_of(name: str) -> np.ndarray:
-            am, a0, ap = getattr(fm, name), getattr(f0, name), getattr(fp, name)
-            return (hm**2 * ap + (hp**2 - hm**2) * a0 - hp**2 * am) / (hm * hp * (hm + hp))
-
-        vr, vt, vz = f0.vr, f0.vtheta, f0.vz
-        adv = lambda a: vr * _centered(a, 0, dr) + vz * _centered(a, 1, dz)
-        lap = lambda a: _second(a, 0, dr) + _centered(a, 0, dr) / r + _second(a, 1, dz)
-
-        # the axis row divides by r=0; it lies outside the interior margin and
-        # is discarded below
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = {
-                "vr": dt_of("vr") + adv(vr) - vt**2 / r + _centered(p, 0, dr)
-                      - mu * (lap(vr) - vr / r**2),
-                "vtheta": dt_of("vtheta") + adv(vt) + vr * vt / r - mu * (lap(vt) - vt / r**2),
-                "vz": dt_of("vz") + adv(vz) + _centered(p, 1, dz) - mu * lap(vz),
-                "div": _centered(vr, 0, dr) + vr / r + _centered(vz, 1, dz),
-            }
-        wi = w[sl]
-        wsum += np.sum(wi)
-        for name, arr in res.items():
-            a = arr[sl]
-            sup[name] = max(sup[name], float(np.max(np.abs(a))))
-            ssq[name] += float(np.sum(wi * a**2))
-
-    return {
-        name: {"sup": sup[name], "l2": float(np.sqrt(ssq[name] / wsum))}
-        for name in sup
-    }

@@ -43,3 +43,30 @@ def test_spans_see_every_step_diagnostics_row_and_snapshot_of_a_simulate(tmp_pat
     assert calls["fields.write_snapshot"] == 4
     assert calls["initial.generate"] == 1
     assert timer.total > 0
+
+
+def test_spans_see_the_suite_the_zoom_check_and_its_two_steps_in_a_validate(tmp_path):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  dt: 5e-3\n  t_end: 0.02\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        "invariants:\n  h0: 0.01\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+        encoding="utf-8",
+    )
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["validate", "--config", str(cfg)]) == 0
+    finally:
+        tracer.uninstall()
+    calls = Counter(name for name, _t0, _t1, _parent in tracer.spans)
+    for name in ("checks.run_invariant_suite", "checks.check_scaling_covariance",
+                 "validation.lamb_oseen_convergence"):
+        assert calls[name] == 1, name
+    (zoom,) = [k for k, s in enumerate(tracer.spans) if s[0] == "checks.check_scaling_covariance"]
+    assert tracer.spans[zoom][3] == next(
+        k for k, s in enumerate(tracer.spans) if s[0] == "checks.run_invariant_suite")
+    # the zoomed solver retakes the run's first two steps
+    assert [s[0] for s in tracer.spans if s[3] == zoom].count("solver.step") == 2

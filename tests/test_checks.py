@@ -1,21 +1,28 @@
 """Tests for the invariant/property suite and the zoom-covariance check."""
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import axiswirl.checks
+import axiswirl.solver
 from axiswirl.checks import (
+    ZOOM_TOL,
     InvariantConfig,
     check_divergence,
     check_energy,
     check_max_principle,
     check_scaling_covariance,
     check_short_time_bound,
-    max_rvtheta,
-    rescale_snapshot_sequence,
     run_invariant_suite,
 )
-from axiswirl.fields import AxisymField, ScalarField, SnapshotHistory, make_grid
+from axiswirl.config import parse_config
+from axiswirl.fields import AxisymField, ScalarField, SnapshotHistory, make_grid, max_rvtheta
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field
-from axiswirl.solver import kinetic_energy
+from axiswirl.solver import AxisymSolver, SolverConfig, advect, kinetic_energy
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _hist(grid, fields, times, pressures=None):
@@ -139,66 +146,91 @@ def test_divergence_dirty_field_fails(grid16):
     assert rep["measured"] == pytest.approx(2.0)
 
 
-def test_rescale_sequence_rejects_bad_lambda(grid16):
-    hist = _hist(grid16, [AxisymField.zeros(grid16)], [0.0])
-    with pytest.raises(ValueError, match="lambda"):
-        rescale_snapshot_sequence(hist, 0.0)
+def _run_history(initial, cfg, steps=2):
+    """The initial state and ``steps`` steps of a solver run at its own dt."""
+    solver = AxisymSolver(initial, cfg)
+    hist = SnapshotHistory()
+    hist.record(solver)
+    for _ in range(steps):
+        solver.step()
+        hist.record(solver)
+    return hist
 
 
-def test_rescale_sequence_lambda_one_is_identity(grid16):
-    fld = _swirl(grid16, 1.0)
-    hist = _hist(grid16, [fld], [0.3])
-    out = rescale_snapshot_sequence(hist, 1.0)
-    assert np.allclose(out.snapshots[0].field.vtheta, fld.vtheta, atol=1e-14)
-    assert out.times[0] == pytest.approx(0.3)
+def _ring_history(grid, boundary="dirichlet0"):
+    ring = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), grid)
+    return _run_history(ring, SolverConfig(cfl=0.4, boundary=boundary))
 
 
-@pytest.mark.parametrize("lam", [2.0, 1.7, 3.3])
-def test_rescale_sequence_exact_on_nodes(grid16, lam):
-    # the zoomed grid keeps the node counts with extents divided by lam, so lam
-    # times its node (i, j) is the original node (i, j) for any lam: the zoomed
-    # sequence is lam*v, lam^2*p at time t/lam^2, exactly
-    fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0, ring_r=1.0, core_radius=0.3),
-                   grid16)
-    p = np.sin(grid16.r)[:, None] * np.cos(grid16.z)[None, :]
-    hist = _hist(grid16, [fld], [0.4], [ScalarField(grid16, p)])
-    (snap,) = rescale_snapshot_sequence(hist, lam)
-    g = grid16
-    assert snap.field.grid == make_grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
-    for name in ("vr", "vtheta", "vz"):
-        assert np.all(getattr(snap.field, name) == lam * getattr(fld, name))
-    assert np.all(snap.pressure.values == lam**2 * p)
-    assert snap.t == 0.4 / lam**2
+# every shipped config in both boundary modes, but for stream_random in hold
+# mode: its held far field carries a net flux, so no run exists (PoissonError)
+@pytest.mark.parametrize("name, boundary", [
+    ("lamb_oseen", "dirichlet0"), ("lamb_oseen", "hold"), ("stream_random", "dirichlet0"),
+    ("vortex_ring", "dirichlet0"), ("vortex_ring", "hold"),
+])
+def test_scaling_covariance_passes_on_the_shipped_configs(name, boundary):
+    cfg = parse_config((CONFIGS / f"{name}.yaml").read_text(encoding="utf-8"))
+    solver_cfg = dataclasses.replace(cfg.solver, boundary=boundary)
+    g = cfg.grid
+    hist = _run_history(generate(cfg.data, make_grid(g.nr, g.nz, g.r_max, g.z_min, g.z_max)),
+                        solver_cfg)
+    rep = check_scaling_covariance(hist, solver_cfg)
+    assert rep["pass"] and rep["steps"] == 2
+    # measured roundoff is at most 5.6e-15
+    assert rep["measured"] <= 1e-14
 
 
-def test_scaling_covariance_constant_axial_flow(grid32):
-    # steady uniform axial flow solves the equations at any zoom level: the
-    # residual is zero before and after, so only r|v| invariance is exercised
-    fld = AxisymField.zeros(grid32)
-    fld.vz = 0.5 * np.ones(grid32.shape)
-    hist = _hist(grid32, [fld.copy() for _ in range(3)], [0.1, 0.2, 0.3])
-    rep = check_scaling_covariance(hist, lam=1.0)
-    assert rep["measured"] == 1.0 or np.isnan(rep["measured"])
-    assert rep["rspeed_invariance_error"] <= 1e-12
-
-
-def test_scaling_covariance_lamb_oseen_ratio():
-    g = make_grid(96, 96, 6.0, -3.0, 3.0)
-    dt = 2e-3
-    hist = _lamb_oseen_hist(g, [0.5 - dt, 0.5, 0.5 + dt])
-    rep = check_scaling_covariance(hist, lam=2.0, mu=1.0)
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_scaling_covariance_at_a_zoom_factor_that_is_no_power_of_two(grid32, boundary):
+    hist = _ring_history(grid32, boundary)
+    rep = check_scaling_covariance(hist, SolverConfig(cfl=0.4, boundary=boundary), lam=1.7)
     assert rep["pass"]
-    assert 6.8 <= rep["measured"] <= 9.2
-    assert rep["rspeed_invariance_error"] <= 0.01
+
+
+def test_scaling_covariance_fails_when_the_zoomed_viscosity_is_off(grid32, monkeypatch):
+    hist = _ring_history(grid32)
+    real = AxisymSolver
+
+    def off(initial, cfg):
+        return real(initial, dataclasses.replace(cfg, mu=1.01 * cfg.mu))
+
+    monkeypatch.setattr(axiswirl.checks, "AxisymSolver", off)
+    rep = check_scaling_covariance(hist, SolverConfig(cfl=0.4))
+    assert not rep["pass"]
+    assert rep["measured"] > 1e6 * ZOOM_TOL
+
+
+def test_scaling_covariance_fails_on_a_curvature_term_of_the_wrong_dimension(grid32,
+                                                                             monkeypatch):
+    # vtheta^2/r^2 in place of vtheta^2/r, in both runs: it scales as lam^4
+    # under the zoom where every other term scales as lam^3
+    def wrong(state):
+        g = state.grid
+        rinv = np.zeros(g.nr + 1)
+        rinv[1:] = 1.0 / g.r[1:]
+        rinv = rinv[:, None]
+        return AxisymField(
+            g,
+            -advect(state, state.vr, parity=-1) + state.vtheta**2 * rinv**2,
+            -advect(state, state.vtheta, parity=-1) - state.vr * state.vtheta * rinv,
+            -advect(state, state.vz, parity=1),
+        )
+
+    monkeypatch.setattr(axiswirl.solver, "momentum_rhs", wrong)
+    hist = _ring_history(grid32)
+    rep = check_scaling_covariance(hist, SolverConfig(cfl=0.4))
+    assert not rep["pass"]
+    assert rep["measured"] > 1e3 * ZOOM_TOL
 
 
 def test_run_invariant_suite_names_and_gating(grid16):
-    fields = [_swirl(grid16, a) for a in (1.0, 0.9)]
-    hist = _hist(grid16, fields, [0.0, 0.1])
-    reports = run_invariant_suite(hist, n0=10.0, config=InvariantConfig())
-    names = [r["name"] for r in reports]
-    # fewer than three snapshots: the covariance check is skipped
+    hist = _ring_history(grid16)
+    one = SnapshotHistory()
+    one.push(hist.snapshots[0].t, hist.snapshots[0].field, hist.snapshots[0].pressure)
+    names = [r["name"] for r in run_invariant_suite(one, 10.0, InvariantConfig(),
+                                                    SolverConfig(cfl=0.4))]
+    # a single snapshot has no step to zoom: the covariance check is skipped
     assert names == ["max_principle", "short_time_bound", "energy", "divergence"]
-    hist3 = _hist(grid16, fields + [_swirl(grid16, 0.8)], [0.0, 0.1, 0.2])
-    names3 = [r["name"] for r in run_invariant_suite(hist3, 10.0, InvariantConfig())]
-    assert names3[-1] == "scaling_covariance"
+    reports = run_invariant_suite(hist, 10.0, InvariantConfig(), SolverConfig(cfl=0.4))
+    assert [r["name"] for r in reports] == names + ["scaling_covariance"]
+    assert all(r["pass"] for r in reports)

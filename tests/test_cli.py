@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line driver."""
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,9 @@ from axiswirl.solver import AxisymSolver
 from conftest import run_outputs
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+sys.path.insert(0, str(CONFIGS.parent / "perfbench"))
+
+import verify  # noqa: E402
 
 
 def _write(path, text):
@@ -88,7 +92,8 @@ def test_simulate_keeps_at_most_one_snapshot_in_memory(tmp_path, monkeypatch):
 
 def test_hold_boundary_with_outward_flux_fails_fast(tmp_path):
     # held boundary values that carry flux out of the domain cannot be made
-    # divergence free; the projection gives up at POISSON_MAX_ITER (exit 2)
+    # divergence free; the divergence left after the projection's one solve
+    # exceeds projection_tol, and it raises PoissonError (exit 2)
     cfg = _write(
         tmp_path / "run.yaml",
         "grid:\n  nr: 24\n  nz: 40\n  r_max: 1.5\n  z_min: -2.0\n  z_max: 5.0\n"
@@ -391,26 +396,31 @@ def test_validate_divergence_bound_follows_solver_tolerance(tmp_path, capsys):
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.yaml")), ids=lambda p: p.stem)
 def test_validate_passes_on_every_shipped_config(path, capsys):
     assert main(["validate", "--config", str(path)]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "FAIL" not in out
+    # each report the benchmark's output check reads, once, passing
+    for name in verify.VALIDATE_REPORTS:
+        (line,) = [ln for ln in out.splitlines() if ln.startswith(name + ":")]
+        assert line.endswith("PASS"), line
 
 
 def test_validate_uses_solver_mu_for_scaling_covariance(tmp_path, monkeypatch):
+    # the suite takes the run's solver config, the one source of mu and
+    # projection_tol for the zoomed run and the divergence bound
     seen = []
     suite = axiswirl.cli.run_invariant_suite
 
-    def spy(history, n0, config, projection_tol, mu):
-        seen.append(mu)
-        return suite(history, n0, config, projection_tol, mu)
+    def spy(history, n0, invariants, solver):
+        seen.append(solver)
+        return suite(history, n0, invariants, solver)
 
     monkeypatch.setattr(axiswirl.cli, "run_invariant_suite", spy)
-    cfg = _write(
-        tmp_path / "run.yaml",
-        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
-        "solver:\n  mu: 0.5\n  t_end: 0.02\n"
-        f"output:\n  directory: {tmp_path / 'out'}\n",
-    )
-    main(["validate", "--config", cfg])
-    assert seen == [0.5]
+    text = ("grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+            "solver:\n  mu: 0.5\n  t_end: 0.02\n  projection_tol: 1e-9\n"
+            f"output:\n  directory: {tmp_path / 'out'}\n")
+    main(["validate", "--config", _write(tmp_path / "run.yaml", text)])
+    assert seen == [parse_config(text).solver]
+    assert (seen[0].mu, seen[0].projection_tol) == (0.5, 1e-9)
 
 
 def test_lamb_oseen_nu_must_equal_solver_mu(tmp_path, capsys):

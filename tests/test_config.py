@@ -44,9 +44,15 @@ def test_invariants_mu_is_unknown_key():
 
 
 def test_solver_poisson_max_iter_is_unknown_key():
-    # the projection's iteration cap is a constant, not a setting
+    # the projection is one direct solve, with no iteration cap to set
     with pytest.raises(ConfigError, match="unknown key solver.poisson_max_iter"):
         parse_config("solver:\n  cfl: 0.4\n  poisson_max_iter: 50\n")
+
+
+def test_invariants_scaling_lambda_is_unknown_key():
+    # validate's zoom check runs at the fixed factor 2
+    with pytest.raises(ConfigError, match="unknown key invariants.scaling_lambda"):
+        parse_config("invariants:\n  scaling_lambda: 3.0\n")
 
 
 def test_lamb_oseen_nu_must_equal_solver_mu():

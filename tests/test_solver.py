@@ -6,7 +6,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import axiswirl.solver
 from axiswirl.checks import check_divergence
@@ -20,7 +19,6 @@ from axiswirl.fields import (
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_profile
 from axiswirl.solver import (
     GAMMA,
-    POISSON_MAX_ITER,
     AxisymSolver,
     HelmholtzSolver,
     PoissonError,
@@ -30,7 +28,6 @@ from axiswirl.solver import (
     build_divergence_matrix,
     divergence,
     kinetic_energy,
-    mms_residual,
     momentum_rhs,
     stable_dt,
     volume_weights,
@@ -296,14 +293,15 @@ def test_divergence_matrix_equals_loop_oracle(dims):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape
         assert np.all(a == b), name
-    # the projection operator assembled from the oracle is bitwise the same
+
+
+def _oracle_pressure_matrix(g):
+    """K = D_f W^-1 D_f^T on the projection's free nodes, from the loop oracle."""
     op = ProjectionOperator(g)
     w = volume_weights(g).ravel()
     wu = np.concatenate([w, w])[op._mask]
-    Df = want[:, op._mask].tocsr()
-    K = (Df @ sp.diags(1.0 / wu) @ Df.T).tocsr()
-    for name in ("indptr", "indices", "data"):
-        assert np.array_equal(getattr(op._K, name), getattr(K, name)), name
+    Df = _loop_divergence_matrix(g)[:, op._mask].tocsr()
+    return op, (Df @ sp.diags(1.0 / wu) @ Df.T).tocsr()
 
 
 def _walled_ring(g):
@@ -316,13 +314,13 @@ def _walled_ring(g):
 
 @pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=["16", "64", "24x40"])
 def test_preconditioner_inverts_the_operator_on_its_range(dims):
-    # the fast-diagonalised preconditioner is K's exact inverse on every
-    # right-hand side a velocity field's divergence can give
+    # the fast-diagonalised inverse is K's exact inverse on every right-hand
+    # side a velocity field's divergence can give
     g = make_grid(*dims)
-    op = ProjectionOperator(g)
+    op, K = _oracle_pressure_matrix(g)
     # b = D u for a random u on the nodes the projection moves
     b = op.D @ np.where(op._mask, np.random.default_rng(5).normal(size=2 * op._npts), 0.0)
-    assert np.linalg.norm(op._K @ op._M.matvec(b) - b) <= 1e-10 * np.linalg.norm(b)
+    assert np.linalg.norm(K @ op._inverse(b) - b) <= 1e-10 * np.linalg.norm(b)
     # the ring that the projection cleans to the configured bound
     out, _ = op.project(_walled_ring(g), dt=1e-3)
     assert float(np.max(np.abs(divergence(op.D, out)))) <= op.tol
@@ -330,48 +328,41 @@ def test_preconditioner_inverts_the_operator_on_its_range(dims):
 
 @pytest.mark.parametrize("dims", [ORACLE_GRIDS[0], ORACLE_GRIDS[2]], ids=["16", "24x40"])
 def test_pressure_kernel_has_dimension_six(dims):
-    # K = D W^-1 D^T has six null modes; the preconditioner drops exactly those
+    # K = D W^-1 D^T has six null modes; the inverse drops exactly those
     g = make_grid(*dims)
-    op = ProjectionOperator(g)
-    lam = np.linalg.eigvalsh(op._K.toarray())
+    op, K = _oracle_pressure_matrix(g)
+    lam = np.linalg.eigvalsh(K.toarray())
     assert np.sum(lam < 1e-9 * lam[-1]) == 6
-    M = op._M.matmat(np.eye(op._npts))
+    M = np.stack([op._inverse(e) for e in np.eye(op._npts)], axis=1)
     assert np.linalg.matrix_rank(M, tol=1e-9 * np.abs(M).max()) == op._npts - 6
 
 
-def _count_preconditioner_applications(monkeypatch):
-    """Make every preconditioner built from now on list its applications in
-    ``applications``."""
-    real = spla.LinearOperator
+def _count_inverse_applications(monkeypatch):
+    """List every application of a projection's inverse from now on in the
+    returned list, by operator."""
+    real = ProjectionOperator._inverse
+    calls = []
 
-    def make(shape, matvec, **kwargs):
-        calls = []
-        M = real(shape, lambda r: calls.append(1) or matvec(r), **kwargs)
-        M.applications = calls
-        return M
+    def counted(self, r):
+        calls.append(self)
+        return real(self, r)
 
-    monkeypatch.setattr(spla, "LinearOperator", make)
+    monkeypatch.setattr(ProjectionOperator, "_inverse", counted)
+    return calls
 
 
-def test_projection_gives_up_after_max_iter_on_incompatible_flux(monkeypatch):
+def test_projection_raises_poisson_error_after_one_application_of_the_inverse(monkeypatch):
     # without the no-slip walls the ring keeps a flux through r = r_max that no
-    # pressure can remove: CG gives up after POISSON_MAX_ITER preconditioner
-    # applications instead of running on
-    _count_preconditioner_applications(monkeypatch)
+    # pressure can remove: the divergence left after the one solve exceeds
+    # the tolerance, and the projection raises instead of returning the field
+    calls = _count_inverse_applications(monkeypatch)
     g = make_grid(24, 40, 1.5, -2.0, 5.0)
     op = ProjectionOperator(g)
     fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
-    with pytest.raises(PoissonError):
+    with pytest.raises(PoissonError) as err:
         op.project(fld, dt=1.0)
-    assert len(op._M.applications) == POISSON_MAX_ITER
-
-
-def test_projection_setup_applies_no_preconditioner(monkeypatch, grid16):
-    # the preconditioner declares its dtype, so scipy does not apply it to a
-    # zero vector to find it out
-    _count_preconditioner_applications(monkeypatch)
-    op = ProjectionOperator(grid16)
-    assert op._M.applications == []
+    assert calls == [op]
+    assert err.value.achieved > op.tol
 
 
 def test_projection_keeps_no_state_between_calls():
@@ -409,14 +400,14 @@ SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob(
 @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda p: p.stem)
 def test_shipped_configs_project_in_one_preconditioner_application(monkeypatch, path):
     cfg = parse_config(path.read_text(encoding="utf-8"))
-    _count_preconditioner_applications(monkeypatch)
+    calls = _count_inverse_applications(monkeypatch)
     real_project = ProjectionOperator.project
     applications, divs = [], []
 
     def project(self, u_star, dt):
-        before = len(self._M.applications)
+        before = len(calls)
         out, p = real_project(self, u_star, dt)
-        applications.append(len(self._M.applications) - before)
+        applications.append(len(calls) - before)
         divs.append(float(np.max(np.abs(divergence(self.D, out)))))
         return out, p
 
@@ -426,8 +417,8 @@ def test_shipped_configs_project_in_one_preconditioner_application(monkeypatch, 
     solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
     for _ in range(20):
         solver.step()
-    # the initial projection and two per step; the preconditioner is K's
-    # exact inverse on its range, so one application reaches the tolerance
+    # the initial projection and two per step, each one application of the
+    # exact inverse that leaves the divergence within the tolerance
     assert len(applications) == 41
     assert max(applications) <= 1
     assert max(divs) <= cfg.solver.projection_tol
@@ -692,6 +683,75 @@ def test_constructor_keeps_a_stepped_state_bit_for_bit(n, boundary):
 # ---------------------------------------------------------------------------
 # residual norms on snapshot sequences
 # ---------------------------------------------------------------------------
+
+def _centered(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
+    return (np.roll(arr, -1, axis) - np.roll(arr, 1, axis)) / (2 * h)
+
+
+def _second(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
+    return (np.roll(arr, -1, axis) - 2 * arr + np.roll(arr, 1, axis)) / h**2
+
+
+def mms_residual(history: SnapshotHistory, window: tuple[float, float] | None = None,
+                 mu: float = 1.0, margin: int = 2) -> dict[str, dict[str, float]]:
+    """Oracle: per-equation residual norms of the momentum system on stored snapshots.
+
+    Time derivatives are centered over consecutive snapshots; spatial terms are
+    centered second order, independent of the solver's stencils; norms are
+    taken over interior nodes at least ``margin`` away from every boundary.
+    Needs at least 3 snapshots in window.
+    """
+    snaps = list(history)
+    if window is not None:
+        snaps = [s for s in snaps if window[0] - 1e-14 <= s.t <= window[1] + 1e-14]
+    if len(snaps) < 3:
+        raise ValueError(f"need at least 3 snapshots for the time derivative, have {len(snaps)}")
+    g = snaps[0].field.grid
+    dr, dz = g.dr, g.dz
+    w = volume_weights(g)
+    sl = (slice(margin, -margin), slice(margin, -margin))
+    r = g.r[:, None]
+
+    sup = {k: 0.0 for k in ("vr", "vtheta", "vz", "div")}
+    ssq = {k: 0.0 for k in ("vr", "vtheta", "vz", "div")}
+    wsum = 0.0
+
+    for k in range(1, len(snaps) - 1):
+        tm, t0, tp = snaps[k - 1].t, snaps[k].t, snaps[k + 1].t
+        hm, hp = t0 - tm, tp - t0
+        fm, f0, fp = snaps[k - 1].field, snaps[k].field, snaps[k + 1].field
+        p = snaps[k].pressure.values
+
+        def dt_of(name: str) -> np.ndarray:
+            am, a0, ap = getattr(fm, name), getattr(f0, name), getattr(fp, name)
+            return (hm**2 * ap + (hp**2 - hm**2) * a0 - hp**2 * am) / (hm * hp * (hm + hp))
+
+        vr, vt, vz = f0.vr, f0.vtheta, f0.vz
+        adv = lambda a: vr * _centered(a, 0, dr) + vz * _centered(a, 1, dz)
+        lap = lambda a: _second(a, 0, dr) + _centered(a, 0, dr) / r + _second(a, 1, dz)
+
+        # the axis row divides by r=0; it lies outside the interior margin and
+        # is discarded below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = {
+                "vr": dt_of("vr") + adv(vr) - vt**2 / r + _centered(p, 0, dr)
+                      - mu * (lap(vr) - vr / r**2),
+                "vtheta": dt_of("vtheta") + adv(vt) + vr * vt / r - mu * (lap(vt) - vt / r**2),
+                "vz": dt_of("vz") + adv(vz) + _centered(p, 1, dz) - mu * lap(vz),
+                "div": _centered(vr, 0, dr) + vr / r + _centered(vz, 1, dz),
+            }
+        wi = w[sl]
+        wsum += np.sum(wi)
+        for name, arr in res.items():
+            a = arr[sl]
+            sup[name] = max(sup[name], float(np.max(np.abs(a))))
+            ssq[name] += float(np.sum(wi * a**2))
+
+    return {
+        name: {"sup": sup[name], "l2": float(np.sqrt(ssq[name] / wsum))}
+        for name in sup
+    }
+
 
 def _analytic_history(grid, times, circ=1.0, nu=1.0):
     hist = SnapshotHistory()
