@@ -89,7 +89,6 @@ class CubeSample:
     valid: np.ndarray  # (nt, n, n, n) bool
     phys: np.ndarray  # (n, n, n, 3) physical spatial sample points
     capped: bool
-    crosses_axis: bool
 
     @property
     def masked_fraction(self) -> float:
@@ -175,7 +174,6 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     if axis_cap > 0 and L > axis_cap:
         L = axis_cap
         capped = True
-    crosses_axis = L / zoom.q >= zoom.r0
 
     n = config.cube_resolution
     nt = config.cube_time_levels
@@ -218,7 +216,7 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     if not valid.any():
         raise InsufficientSamplesError("cube is fully masked (no history/domain coverage)")
     return CubeSample(zoom=zoom, length=L, xs=xs, ts=ts, v=v, valid=valid, phys=phys,
-                      capped=capped, crosses_axis=crosses_axis)
+                      capped=capped)
 
 
 def swirl_smallness(sample: CubeSample) -> float:
@@ -234,21 +232,43 @@ def swirl_smallness(sample: CubeSample) -> float:
 
 
 # relative slack of the Holder bound: it covers the float32 weights and ht/hx^2,
-# the last-ulp spread of linspace ticks and the exact formula's rounding
+# the float32 product with the weights, the last-ulp spread of linspace ticks and
+# the rounding of the exact formula and of the threshold in double precision
 _BOUND_SLACK = 1e-6
+_EPS32 = 2.0**-23  # the float32 machine epsilon
+_INVALID = -(2.0**64)  # the squared norm that marks an invalid sample
 
 
 @functools.lru_cache(maxsize=8)
-def _lattice_weights(n: int, nt: int, rho: float, alpha: float) -> np.ndarray:
+def _lattice_weights(n: int, nt: int, rho: float, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """d^(-2 alpha) for the (n^3, n^3) sample pairs m < nt time levels apart, in
-    lattice units (spatial step 1, time step rho), as float32; 0 where d = 0."""
-    s = sum((g[:, None] - g[None, :]) ** 2 for g in np.indices((n, n, n)).reshape(3, -1))
+    lattice units (spatial step 1, time step rho), as float32, 0 where d = 0; and
+    the (n^3, 3) lattice index of each sample."""
+    ijk = np.indices((n, n, n)).reshape(3, -1)
+    s = sum((g[:, None] - g[None, :]) ** 2 for g in ijk)
     w = np.zeros((nt, n**3, n**3), np.float32)
     for m in range(nt):
         d2 = np.maximum(s, m * rho)
         np.power(d2, -alpha, out=w[m], where=d2 > 0)
+    ijk = ijk.T.copy()
     w.setflags(write=False)
-    return w
+    ijk.setflags(write=False)
+    return w, ijk
+
+
+def _float32_below(t: float) -> np.float32:
+    """The largest float32 at most t if t >= 2^-100, else -1, which every bound of
+    a pair of valid samples exceeds.  A float32 array compares with a Python
+    float in float32, where t could round up."""
+    if not t >= 2.0**-100:
+        return np.float32(-1.0)
+    t32 = np.float32(t)
+    return np.nextafter(t32, np.float32(0.0)) if float(t32) > t else t32
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=-1) for real x, by the same floating-point operations."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
@@ -260,54 +280,101 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
     is the parabolic distance max(|dx|, sqrt(|dt|)); pairs closer than 1e-12
     are skipped.
 
-    Bound, then verify, per pair of time levels.  On the values centred on a
-    valid sample and scaled to at most 1 by a power of two, one matrix product
-    of the rows [f, |f|^2, 1] and [-2f, 1, |f|^2] gives |a - b|^2 for all pairs;
-    widening each |f|^2 by 4 (C + 2) eps bounds it from above in any summation
-    order.  Times the cached weights (d / hx)^(-2 alpha), hx^(-2 alpha) and
-    1 + _BOUND_SLACK, it bounds the squared quotient.  The valid pair with the
-    largest bound, then every valid pair whose bound exceeds the best quotient
-    so far, is evaluated with the floating-point operations of a direct
-    evaluation of the two norms, so the result is exact, bit for bit.
+    Bound, then verify, per pair of time levels, the latest levels first.  The
+    values, centred on a valid sample and scaled by 2^-e to x with |x_c| < 1,
+    are rounded to float32 values a.  With s = fl32(|a|^2 W + 2^-126) and
+    W = 1 + 2 (C + 7) eps (eps = 2^-23), one float32 product of the rows
+    [a, s, 1] and [-2a, 1, s] gives G >= |x_a - x_b|^2 for every pair of valid
+    samples.  An invalid sample gets a = 0 and s = -2^64, so a pair that holds
+    one bounds below -1, unless it is a sample with itself (d = 0).  Times the
+    cached float32 weights (d / hx)^(-2 alpha), in float32, G gives the bound B.
+    The threshold of a quotient q is T(q), the largest float32 at most
+    t = (q 2^-e)^2 hx^(2 alpha) / (1 + _BOUND_SLACK), or -1 if t < 2^-100.  A
+    level pair whose largest bound is at most T(best), best the largest quotient
+    so far, is done after its argmax.  Otherwise its top pair is evaluated, and
+    then every pair whose bound exceeds the new T(best).  Evaluations use the
+    floating-point operations of a direct evaluation of the two norms, so the
+    result is exact, bit for bit.
+
+    Why G >= |x_a - x_b|^2, for C <= 2^19 (u = 2^-24, eta = 2^-149; the error
+    model of Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    sections 2.1 and 3.1, with gradual underflow):
+
+    1. Inputs.  Centring in double, scaling and the cast give |x_c - a_c| <=
+       eps |a_c| + eta, where eta covers a component that the cast makes
+       subnormal or zero.  So |x_a - x_b| <= |a - b| + eps (|a| + |b|) + 2 C^.5
+       eta, and as |a - b| <= |a| + |b| <= 2 C^.5, |x_a - x_b|^2 <= |a - b|^2
+       + (4 eps + 2 eps^2)(|a|^2 + |b|^2) + 8 (1 + eps) C eta + 4 C eta^2.
+    2. Product.  The K = C + 2 products and their sum, in any order, with or
+       without FMA, err by at most gamma_K (|a|^2 + |b|^2 + s_a + s_b) + K
+       2^-150 (1 + gamma_K), gamma_K = K u / (1 - K u); -2a is exact.  So G >=
+       |a - b|^2 + sum over a and b of [s_a (1 - gamma_K) - |a|^2 (1 + gamma_K)]
+       - K 2^-150 (1 + gamma_K).
+    3. Widening.  |a|^2 has every square exact in double, and s, at least
+       2^-126 up to rounding, rounds in relative terms, so s >= (|a|^2 W +
+       2^-126)(1 - u)(1 - C 2^-52).  The factor of |a|^2 in 2. then exceeds
+       1 + gamma_K + 4 eps + 2 eps^2: to first order that needs W - 1 >=
+       (C + 6.5) eps, and 2 (C + 7) eps leaves (C + 7.5) eps for the
+       higher-order terms.  The 2^-126 in s_a and s_b covers the absolute
+       terms of 1. and 2., which sum to less than (C + 1) 2^-145.
+
+    Why no pair with q > best is missed, for lattices whose weights with d > 0
+    lie in [2^-60, 2^60] (the cubes of constant_closeness have ht / hx^2 =
+    (n - 1)^2 / (4 (nt - 1))): as G >= |x_a - x_b|^2, B is at least
+    q^2 2^(-2e) hx^(2 alpha) up to relative errors below 2e-7 in all (float32
+    weights and ht/hx^2, the float32 product, linspace ticks, the exact
+    formula, t in double), which _BOUND_SLACK covers.  So if t >= 2^-100, G w
+    > t is a normal float32, and B > t >= T(best).  That needs the exact
+    formula to round in relative terms, which it does unless its sum of
+    squares is below 2^-1000; for e > -400 such a pair has q so small that
+    t < 2^-100 for every best below q.  When t < 2^-100, and always for
+    e <= -400, T is -1 and every valid pair is evaluated.
     """
     nt, n = valid.shape[:2]
     size = n**3
     f = values.reshape(nt, size, -1)
     ok = valid.reshape(nt, size)
-    coords = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1).reshape(size, 3)
     hx, ht = (xs[-1] - xs[0]) / (n - 1), (ts[-1] - ts[0]) / max(nt - 1, 1)
-    weights = _lattice_weights(n, nt, float(np.float32(ht / hx**2)), alpha)
-    g = f - f.reshape(nt * size, -1)[ok.argmax()]
-    e = np.frexp(np.abs(g[ok]).max(initial=0.0))[1]
-    g = np.ldexp(g, -e)
-    widen = 1 + 4 * (g.shape[-1] + 2) * np.finfo(float).eps
-    sq = np.einsum("lpc,lpc->lp", g, g)[..., None] * widen
-    lhs = np.concatenate([g, sq, np.ones_like(sq)], axis=-1)
-    rhs = np.concatenate([-2 * g, np.ones_like(sq), sq], axis=-1)
-    # below 2^-400 a square in the exact formula may be subnormal: verify every pair
+    weights, ijk = _lattice_weights(n, nt, float(np.float32(ht / hx**2)), alpha)
+    coords = xs[ijk]
+    g = np.where(ok[..., None], f - f.reshape(nt * size, -1)[ok.argmax()], 0.0)
+    span = np.abs(g).max()
+    if span == 0.0:  # no two valid samples differ
+        return 0.0
+    e = np.frexp(span)[1]
+    a = np.ldexp(g, -e).astype(np.float32)
+    a64 = a.astype(float)
+    widen = 1 + 2 * (a.shape[-1] + 7) * _EPS32
+    sq = np.where(ok, np.einsum("lpc,lpc->lp", a64, a64) * widen + 2.0**-126, _INVALID)
+    sq = sq.astype(np.float32)[..., None]
+    one = np.ones_like(sq)
+    lhs = np.concatenate([a, sq, one], axis=-1)
+    rhs = np.concatenate([-2 * a, one, sq], axis=-1).transpose(0, 2, 1).copy()
     scale = hx ** (2 * alpha) / (1 + _BOUND_SLACK) if e > -400 else 0.0
 
     def exact(la: int, lb: int, pairs: np.ndarray) -> float:
         a, b = np.divmod(pairs, size)
-        d = np.maximum(np.linalg.norm(coords[a] - coords[b], axis=-1),
-                       np.sqrt(np.abs(ts[la] - ts[lb])))
-        dv = np.linalg.norm(f[la, a] - f[lb, b], axis=-1)
+        d = np.maximum(_norm(coords[a] - coords[b]), np.sqrt(np.abs(ts[la] - ts[lb])))
+        dv = _norm(f[la, a] - f[lb, b])
         keep = d > 1e-12
         return float((dv[keep] / d[keep] ** alpha).max()) if keep.any() else 0.0
 
-    best = 0.0
-    for la in range(nt):
-        for lb in range(la, nt):
-            bound = lhs[la] @ rhs[lb].T
-            bound *= weights[lb - la]
-            bound[~ok[la]] = -1.0
-            bound[:, ~ok[lb]] = -1.0
+    best, thr = 0.0, np.float32(-1.0)
+    bound = np.empty((size, size), np.float32)
+    levels = np.flatnonzero(ok.any(axis=1))[::-1]
+    for i, lb in enumerate(levels):
+        for la in levels[i:]:
+            np.matmul(lhs[la], rhs[lb], out=bound)
+            np.multiply(bound, weights[lb - la], out=bound)
             top = bound.argmax()
-            if bound.flat[top] >= 0:
-                best = max(best, exact(la, lb, np.array([top])))
-            pairs = np.flatnonzero(bound > np.ldexp(best, -e) ** 2 * scale)
+            if bound.flat[top] <= thr:
+                continue
+            best = max(best, exact(la, lb, np.array([top])))
+            thr = _float32_below(np.ldexp(best, -e) ** 2 * scale)
+            pairs = np.flatnonzero(bound > thr)
             for k in range(0, len(pairs), 4096):
                 best = max(best, exact(la, lb, pairs[k:k + 4096]))
+            thr = _float32_below(np.ldexp(best, -e) ** 2 * scale)
     return best
 
 

@@ -150,7 +150,6 @@ def test_rescale_cap_keeps_cube_off_axis(grid32):
     # physical cube half-width L/q = 0.25 < r0, so it never touches the axis
     r_phys = np.hypot(sample.phys[..., 0], sample.phys[..., 1])
     assert r_phys.min() > 0.0
-    assert not sample.crosses_axis
 
 
 def test_rescale_masks_points_outside_domain(grid16):
@@ -361,12 +360,56 @@ def _holder_case(case):
         valid = np.ones((1, 3, 3, 3), bool)
         valid[0, 1, 2, 2] = valid[0, 2, 1, 2] = valid[0, 2, 2, 1] = False
         return ts, xs, values, valid, 0.5
+    if case == "float32_near_tie":
+        # two face-neighbour pairs whose differences, 1 and 1 + 1e-8, round to
+        # the same float32 value; the argmax of the bound finds the lesser first
+        xs, ts = np.linspace(-1.0, 1.0, 5), np.array([0.0])
+        values = np.zeros((1, 5, 5, 5, 2))
+        values[0, 1, 0, 0, 0] = 1.0
+        values[0, 4, 4, 4, 1] = 1.0 + 1e-8
+        valid = np.zeros((1, 5, 5, 5), bool)
+        valid[0, 0, 0, 0] = valid[0, 1, 0, 0] = valid[0, 4, 4, 3] = valid[0, 4, 4, 4] = True
+        return ts, xs, values, valid, 0.5
+    if case == "clusters_far_from_centre":
+        # the centre sample lies 1e16 time units (d_P = 1e8) before two clusters
+        # that differ by about 1e-6 relative, so centring leaves values of order
+        # one whose float32 rounding is a few per cent of the largest difference
+        xs, ts = np.linspace(-1.0, 1.0, 3), np.array([-1e16, 0.0])
+        cluster = np.arange(3)[:, None, None, None] >= 1
+        level = np.array([1.0, 2.0, 3.0]) * (1.0 + 1e-6 * cluster + 1e-8 * rng.normal(size=(3, 3, 3, 1)))
+        values = np.stack([np.zeros((3, 3, 3, 3)), level])
+        valid = np.ones((2, 3, 3, 3), bool)
+        valid[0] = False
+        valid[0, 1, 1, 1] = True
+        return ts, xs, values, valid, 0.9
+    if case == "float32_rounding_shrinks_the_maximum":
+        # the float32 cast rounds the largest difference, 2^-10 (1 + 9.1e-5) at
+        # level 1, to 2^-10, below a rival at level 2, visited first, whose
+        # difference is 2^-10 (1 + 2^-14); the centre sample at level 0 is at
+        # d_P >= 2^24; unwidened, the float32 bound of the maximum is exact for
+        # the rounded values, and so too low
+        xs, ts = np.linspace(-1.0, 1.0, 3), np.linspace(-(2.0**49), 0.0, 3)
+        values = np.zeros((3, 3, 3, 3, 1))
+        values[1, 1, 1, 0] = 1.0 - 0.99 * 2.0**-25
+        values[1, 1, 1, 1] = 1.0 + 2.0**-10 + 0.99 * 2.0**-24
+        values[2, 1, 1, 1] = 2.0**-10 + 2.0**-24
+        valid = np.zeros((3, 3, 3, 3), bool)
+        valid[0, 0, 0, 0] = valid[1, 1, 1, 0] = valid[1, 1, 1, 1] = True
+        valid[2, 1, 1, 0] = valid[2, 1, 1, 1] = True
+        return ts, xs, values, valid, 0.5
+    if case == "float32_flushed_components":
+        # next to an order-one component, components that the float32 cast makes
+        # subnormal (1e-40) or zero (1e-50)
+        xs, ts = np.linspace(-0.37, 0.37, 4), np.linspace(-0.37**2, 0.0, 3)
+        values = rng.normal(size=(3, 4, 4, 4, 3)) * np.array([1.0, 1e-40, 1e-50])
+        return ts, xs, values, rng.random((3, 4, 4, 4)) < 0.8, 0.5
     raise ValueError(case)
 
 
 @pytest.mark.parametrize(
     "case", ["constant_valid_data", "large_common_offset", "two_pairs_tied", "subnormal_squares",
-             "near_tie"])
+             "near_tie", "float32_near_tie", "clusters_far_from_centre",
+             "float32_rounding_shrinks_the_maximum", "float32_flushed_components"])
 def test_lattice_holder_equals_oracle_where_a_bound_can_mislead(case):
     ts, xs, values, valid, alpha = _holder_case(case)
     got = microscope._lattice_holder(ts, xs, values, valid, alpha)
@@ -377,26 +420,36 @@ def test_lattice_holder_equals_oracle_where_a_bound_can_mislead(case):
         assert got == 1.0 / 0.5**alpha
     if case == "near_tie":
         assert got > 1.0
+    if case == "float32_near_tie":
+        assert got == (1.0 + 1e-8) / 0.5**alpha
+    if case == "clusters_far_from_centre":
+        # the maximum pairs the two clusters, not the centre with either
+        assert 2e-6 < got < 1e-5
+    if case == "float32_rounding_shrinks_the_maximum":
+        assert got == values[1, 1, 1, 1, 0] - values[1, 1, 1, 0, 0] > 2.0**-10 + 2.0**-24
 
 
 def test_lattice_holder_equals_oracle_on_benchmark_cube_shapes():
-    # a 7-point, 5-level cube with a capped, non-dyadic half-edge, measured as
-    # constant_closeness measures it: D2v on the spatial interior, the time
-    # derivative on the inner levels; the first level lies before the history
+    # n-point, 5-level cubes (the benchmark's n = 7 and the default n = 9) with a
+    # capped, non-dyadic half-edge, measured as constant_closeness measures
+    # them: D2v on the spatial interior, the time derivative on the inner
+    # levels; the first level lies before the history
     rng = np.random.default_rng(7)
     length = 0.5 * 1.37 * 1.09
-    xs = np.linspace(-length, length, 7)
     ts = np.linspace(-length**2, 0.0, 5)
-    hess = rng.normal(size=(5, 5, 5, 5, 18)) + np.linspace(0.0, 3.0, 5)[:, None, None, None, None]
-    hess_valid = np.ones((5, 5, 5, 5), bool)
-    hess_valid[0] = False
-    # the time derivative changes mostly from level to level, so its maximum
-    # pairs two levels, where the time step in lattice units matters
-    dt = np.arange(3.0)[:, None, None, None, None] + 0.01 * rng.normal(size=(3, 7, 7, 7, 3))
-    dt_valid = rng.random((3, 7, 7, 7)) < 0.9
-    for args in ((ts, xs[1:-1], hess, hess_valid), (ts[1:-1], xs, dt, dt_valid)):
-        got = microscope._lattice_holder(*args, 0.5)
-        assert got == _oracle_holder(*args, 0.5) > 0.0
+    for n in (7, 9):
+        xs = np.linspace(-length, length, n)
+        m = n - 2
+        hess = rng.normal(size=(5, m, m, m, 18)) + np.linspace(0.0, 3.0, 5)[:, None, None, None, None]
+        hess_valid = np.ones((5, m, m, m), bool)
+        hess_valid[0] = False
+        # the time derivative changes mostly from level to level, so its maximum
+        # pairs two levels, where the time step in lattice units matters
+        dt = np.arange(3.0)[:, None, None, None, None] + 0.01 * rng.normal(size=(3, n, n, n, 3))
+        dt_valid = rng.random((3, n, n, n)) < 0.9
+        for args in ((ts, xs[1:-1], hess, hess_valid), (ts[1:-1], xs, dt, dt_valid)):
+            got = microscope._lattice_holder(*args, 0.5)
+            assert got == _oracle_holder(*args, 0.5) > 0.0
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
