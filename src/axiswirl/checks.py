@@ -2,42 +2,37 @@
 
 Each check returns a report dict carrying the measured value, the bound and
 the margin; ``run_invariant_suite`` aggregates them and the CLI exits nonzero
-on any violation.
+on any violation.  The checks of the a-priori bounds read the per-step series
+that the run's ``DiagnosticsRecord``s measured; only the zoom check needs states.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .fields import AxisymField, SnapshotHistory, make_grid, max_rvtheta, max_speed
-from .solver import (
-    AxisymSolver,
-    SolverConfig,
-    build_divergence_matrix,
-    divergence,
-    kinetic_energy,
-)
+from .fields import AxisymField, SnapshotHistory, make_grid, max_speed
+from .solver import AxisymSolver, DiagnosticsRecord, SolverConfig
 
 # bound on max|lam*u - u_zoom| / (lam*sup|u|) over the compared steps: the
 # shipped configs measure at most 5.6e-15 and a ring at 16^2 to 256^2 at most
 # 1.5e-14 (lam up to 3.3); a viscosity off by 1 % in the zoomed run reads 1e-3
 ZOOM_TOL = 1e-12
+# relative per-step increase allowed to the kinetic energy and to sup r|vtheta|
+ENERGY_TOL = 1e-8
+MAX_PRINCIPLE_TOL = 1e-6
+# the divergence bound, in units of the solver's projection_tol
+DIVERGENCE_FACTOR = 10.0
 
 
 @dataclass
 class InvariantConfig:
     h0: float = 0.1
-    energy_tol: float = 1e-8  # relative per step
-    max_principle_tol: float = 1e-6  # relative per step
-    divergence_factor: float = 10.0
 
     def __post_init__(self):
         if self.h0 <= 0:
             raise ValueError("h0 must be positive")
-        for name in ("energy_tol", "max_principle_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def _series_nonincreasing(values: np.ndarray, rel_tol: float) -> tuple[bool, float]:
@@ -52,12 +47,11 @@ def _series_nonincreasing(values: np.ndarray, rel_tol: float) -> tuple[bool, flo
     return worst <= rel_tol, worst
 
 
-def check_max_principle(history: SnapshotHistory, n0: float,
-                        rel_tol: float = 1e-6) -> dict:
-    """sup r|vtheta| stays below N0 and is non-increasing along the run."""
-    vals = np.array([max_rvtheta(s.field) for s in history])
-    below = bool(np.all(vals <= n0 * (1 + rel_tol)))
-    mono, worst_inc = _series_nonincreasing(vals, rel_tol)
+def check_max_principle(rvtheta: ArrayLike, n0: float) -> dict:
+    """sup r|vtheta| (per step) stays below N0 and is non-increasing along the run."""
+    vals = np.asarray(rvtheta, dtype=float)
+    below = bool(np.all(vals <= n0 * (1 + MAX_PRINCIPLE_TOL)))
+    mono, worst_inc = _series_nonincreasing(vals, MAX_PRINCIPLE_TOL)
     return {
         "name": "max_principle",
         "pass": below and mono,
@@ -69,10 +63,10 @@ def check_max_principle(history: SnapshotHistory, n0: float,
     }
 
 
-def check_short_time_bound(history: SnapshotHistory, n0: float, h0: float) -> dict:
+def check_short_time_bound(times: ArrayLike, q: ArrayLike, n0: float, h0: float) -> dict:
     """sup of Q(t) for t <= h0 against 2 N0, plus the empirical largest such h0."""
-    times = history.times
-    qs = np.array([max_speed(s.field)[0] for s in history])
+    times = np.asarray(times, dtype=float)
+    qs = np.asarray(q, dtype=float)
     in_window = times <= h0 + 1e-14
     sup_q = float(qs[in_window].max(initial=0.0))
     ok = sup_q <= 2 * n0 * (1 + 1e-12)
@@ -89,26 +83,24 @@ def check_short_time_bound(history: SnapshotHistory, n0: float, h0: float) -> di
     }
 
 
-def check_energy(history: SnapshotHistory, rel_tol: float = 1e-8) -> dict:
-    """Cylindrically weighted kinetic energy is non-increasing across snapshots."""
-    energies = np.array([kinetic_energy(s.field) for s in history])
-    ok, worst_inc = _series_nonincreasing(energies, rel_tol)
+def check_energy(energy: ArrayLike) -> dict:
+    """Cylindrically weighted kinetic energy (per step) is non-increasing."""
+    energies = np.asarray(energy, dtype=float)
+    ok, worst_inc = _series_nonincreasing(energies, ENERGY_TOL)
     return {
         "name": "energy",
         "pass": ok,
         "measured": worst_inc,
-        "bound": rel_tol,
-        "margin": rel_tol - worst_inc,
+        "bound": ENERGY_TOL,
+        "margin": ENERGY_TOL - worst_inc,
         "series": energies,
     }
 
 
-def check_divergence(history: SnapshotHistory, projection_tol: float = 1e-10,
-                     factor: float = 10.0) -> dict:
-    """Sup-norm discrete divergence of every snapshot against factor*projection_tol."""
-    D = build_divergence_matrix(history.snapshots[0].field.grid)
-    sups = np.array([float(np.max(np.abs(divergence(D, s.field)))) for s in history])
-    bound = factor * projection_tol
+def check_divergence(max_divergence: ArrayLike, projection_tol: float) -> dict:
+    """Sup-norm discrete divergence (per step) against DIVERGENCE_FACTOR*projection_tol."""
+    sups = np.asarray(max_divergence, dtype=float)
+    bound = DIVERGENCE_FACTOR * projection_tol
     worst = float(sups.max(initial=0.0))
     return {
         "name": "divergence",
@@ -158,15 +150,19 @@ def check_scaling_covariance(history: SnapshotHistory, solver: SolverConfig,
     }
 
 
-def run_invariant_suite(history: SnapshotHistory, n0: float, invariants: InvariantConfig,
-                        solver: SolverConfig) -> list[dict]:
-    """Every check on ``history``, a run of ``solver`` that recorded every step."""
+def run_invariant_suite(rows: list[DiagnosticsRecord], first: SnapshotHistory, n0: float,
+                        invariants: InvariantConfig, solver: SolverConfig) -> list[dict]:
+    """Every check on a run of ``solver``: ``rows`` holds the record of every
+    step, ``first`` the run's first states (consecutive steps) for the zoom check."""
+    def series(name: str) -> np.ndarray:
+        return np.array([getattr(row, name) for row in rows])
+
     reports = [
-        check_max_principle(history, n0, invariants.max_principle_tol),
-        check_short_time_bound(history, n0, invariants.h0),
-        check_energy(history, invariants.energy_tol),
-        check_divergence(history, solver.projection_tol, invariants.divergence_factor),
+        check_max_principle(series("max_rvtheta"), n0),
+        check_short_time_bound(series("t"), series("q"), n0, invariants.h0),
+        check_energy(series("energy")),
+        check_divergence(series("max_divergence"), solver.projection_tol),
     ]
-    if len(history) >= 2:
-        reports.append(check_scaling_covariance(history, solver))
+    if len(first) >= 2:
+        reports.append(check_scaling_covariance(first, solver))
     return reports

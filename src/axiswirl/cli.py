@@ -142,13 +142,18 @@ def run_validate(cfg: RunConfig) -> int:
     # the convergence study first: its solvers are freed before the run builds its own
     conv = lamb_oseen_convergence((32, 64), t_end=0.1)
 
-    # the state after every step stays in memory for the suite, whatever the
-    # snapshot cadence: its tolerances are per step
-    history = SnapshotHistory()
+    # the suite checks every step's diagnostics, whatever the snapshot cadence
+    # (its tolerances are per step); the zoom check needs the first three states
     solver = AxisymSolver(initial, dataclasses.replace(cfg.solver, snapshot_every=1))
-    history.record(solver)
-    solver.run(cfg.solver.t_end, on_snapshot=history.record)
-    reports = run_invariant_suite(history, cfg.data.n0, cfg.invariants, cfg.solver)
+    rows, first = [solver.record_diagnostics()], SnapshotHistory()
+    first.record(solver)
+
+    def keep_first(s: AxisymSolver) -> None:
+        if len(first) < 3:
+            first.record(s)
+
+    solver.run(cfg.solver.t_end, on_snapshot=keep_first, on_diagnostics=rows.append)
+    reports = run_invariant_suite(rows, first, cfg.data.n0, cfg.invariants, cfg.solver)
     for rep in reports:
         print(f"{rep['name']}: measured={rep['measured']:.6g} bound={rep['bound']:.6g} "
               f"margin={rep['margin']:.3g} {'PASS' if rep['pass'] else 'FAIL'}")

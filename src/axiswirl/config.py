@@ -13,6 +13,10 @@ from .microscope import MicroscopeConfig
 from .solver import SolverConfig
 
 
+# the documented default time-step policy, for a solver section that sets neither dt nor cfl
+DEFAULT_CFL = 0.4
+
+
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending path."""
 
@@ -34,7 +38,7 @@ class OutputConfig:
 @dataclass
 class RunConfig:
     grid: GridConfig = field(default_factory=GridConfig)
-    solver: SolverConfig = field(default_factory=lambda: SolverConfig(cfl=0.4))
+    solver: SolverConfig = field(default_factory=lambda: SolverConfig(cfl=DEFAULT_CFL))
     data: DataSpec = field(default_factory=DataSpec)
     microscope: MicroscopeConfig = field(default_factory=MicroscopeConfig)
     invariants: InvariantConfig = field(default_factory=InvariantConfig)
@@ -91,7 +95,7 @@ def _build_section(cls, data: dict, path: str):
             raise ConfigError(f"unknown key {path}.{key}")
         kwargs[key] = _coerce(value, known[key].type, f"{path}.{key}")
     if cls is SolverConfig and "dt" not in kwargs and "cfl" not in kwargs:
-        kwargs["cfl"] = 0.4  # documented default time-step policy
+        kwargs["cfl"] = DEFAULT_CFL
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
@@ -123,9 +127,6 @@ def parse_config(text: str) -> RunConfig:
         if key not in _SECTIONS:
             raise ConfigError(f"unknown key {key}")
         kwargs[key] = _build_section(_SECTIONS[key], value, key)
-    # solver needs exactly one of dt/cfl; supply the default only if absent
-    if "solver" not in kwargs:
-        kwargs["solver"] = SolverConfig(cfl=0.4)
     cfg = RunConfig(**kwargs)
     check_consistency(cfg)
     return cfg

@@ -62,15 +62,6 @@ def lamb_oseen_field(circulation: float, nu: float, t_offset: float, grid: Grid)
     return AxisymField(grid, z.copy(), vtheta, z.copy())
 
 
-def lamb_oseen_peak(circulation: float, nu: float, t: float,
-                    r_hi: float = 50.0, n: int = 200_001) -> tuple[float, float]:
-    """(peak speed, peak radius) from a dense 1D scan of the analytic profile."""
-    r = np.linspace(0.0, r_hi * np.sqrt(4 * nu * t), n)
-    v = lamb_oseen_profile(r, circulation, nu, t)
-    i = int(np.argmax(v))
-    return float(v[i]), float(r[i])
-
-
 def _gaussian_blob(grid: Grid, r_c: float, z_c: float, delta: float) -> np.ndarray:
     R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
     return np.exp(-((R - r_c) ** 2 + (Z - z_c) ** 2) / delta**2)

@@ -476,7 +476,7 @@ def microscope_report(history: SnapshotHistory,
             try:
                 sample = rescale_history(history, zoom, config)
                 report = constant_closeness(sample, config)
-            except (InsufficientSamplesError, ValueError):
+            except InsufficientSamplesError:
                 continue
             rows.append((zoom, sample, report))
     rows.sort(key=lambda row: -row[0].alpha)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from axiswirl.fields import AxisymField, make_grid
-from axiswirl.initial import DataSpec, generate
+from axiswirl.initial import DataSpec, generate, lamb_oseen_profile
 
 
 @pytest.fixture
@@ -27,6 +27,14 @@ def rigid_rotation(grid, omega=0.7):
     fld = AxisymField.zeros(grid)
     fld.vtheta = omega * grid.r[:, None] * np.ones(grid.shape)
     return fld
+
+
+def lamb_oseen_peak(circulation, nu, t, r_hi=50.0, n=200_001):
+    """(peak speed, peak radius) from a dense 1D scan of the analytic profile."""
+    r = np.linspace(0.0, r_hi * np.sqrt(4 * nu * t), n)
+    v = lamb_oseen_profile(r, circulation, nu, t)
+    i = int(np.argmax(v))
+    return float(v[i]), float(r[i])
 
 
 def run_outputs(directory):

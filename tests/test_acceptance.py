@@ -21,7 +21,7 @@ from axiswirl.checks import (
 from axiswirl.cli import main
 from axiswirl.config import parse_config
 from axiswirl.fields import ScalarField, SnapshotHistory, AxisymField, make_grid
-from axiswirl.initial import DataSpec, generate, lamb_oseen_peak
+from axiswirl.initial import DataSpec, generate
 from axiswirl.microscope import (
     MicroscopeConfig,
     ZoomParameters,
@@ -32,7 +32,7 @@ from axiswirl.microscope import (
 from axiswirl.solver import AxisymSolver, SolverConfig
 from axiswirl.validation import lamb_oseen_run
 
-from conftest import run_outputs
+from conftest import lamb_oseen_peak, run_outputs
 
 pytestmark = pytest.mark.acceptance
 
@@ -63,15 +63,21 @@ def lamb_oseen_runs():
 
 
 @pytest.fixture(scope="module")
-def ring_history():
-    """Swirling vortex ring with N0=1 at 128^2 run to t=1."""
+def ring_run():
+    """Swirling vortex ring with N0=1 at 128^2 run to t=1: the diagnostics of
+    every step and the first three states."""
     grid = make_grid(128, 128, 4.0, -4.0, 4.0)
     initial = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), grid)
-    hist = SnapshotHistory()
     solver = AxisymSolver(initial, RING_CFG)
-    hist.record(solver)
-    solver.run(1.0, on_snapshot=hist.record)
-    return hist
+    rows, first = [solver.record_diagnostics()], SnapshotHistory()
+    first.record(solver)
+
+    def keep_first(s):
+        if len(first) < 3:
+            first.record(s)
+
+    solver.run(1.0, on_snapshot=keep_first, on_diagnostics=rows.append)
+    return rows, first
 
 
 @pytest.fixture(scope="module")
@@ -128,8 +134,9 @@ def test_convergence_against_analytic_vortex(lamb_oseen_runs):
     assert max(secs) <= 300.0
 
 
-def test_swirl_max_principle_on_ring(ring_history):
-    rep = check_max_principle(ring_history, n0=1.0, rel_tol=1e-6)
+def test_swirl_max_principle_on_ring(ring_run):
+    rows, _ = ring_run
+    rep = check_max_principle([r.max_rvtheta for r in rows], n0=1.0)
     _report(
         "max_principle",
         rep["pass"],
@@ -139,9 +146,10 @@ def test_swirl_max_principle_on_ring(ring_history):
     assert rep["pass"]
 
 
-def test_divergence_and_energy_on_ring(ring_history):
-    rep_div = check_divergence(ring_history, PROJECTION_TOL, factor=10.0)
-    rep_en = check_energy(ring_history, rel_tol=1e-8)
+def test_divergence_and_energy_on_ring(ring_run):
+    rows, _ = ring_run
+    rep_div = check_divergence([r.max_divergence for r in rows], PROJECTION_TOL)
+    rep_en = check_energy([r.energy for r in rows])
     ok = rep_div["pass"] and rep_en["pass"]
     _report(
         "divergence_energy",
@@ -153,11 +161,12 @@ def test_divergence_and_energy_on_ring(ring_history):
     assert rep_en["pass"]
 
 
-def test_zoom_covariance_of_residuals(ring_history):
+def test_zoom_covariance_of_residuals(ring_run):
     # the ring's first two steps, run again on the grid zoomed by 2 from twice
     # its initial state, reproduce twice the recorded states
-    assert len(ring_history) >= 3
-    rep = check_scaling_covariance(ring_history, RING_CFG)
+    _, first = ring_run
+    assert len(first) >= 3
+    rep = check_scaling_covariance(first, RING_CFG)
     _report(
         "zoom_covariance",
         rep["pass"],
@@ -232,11 +241,11 @@ def test_short_time_bound_on_shipped_configs():
         cfg = parse_config(path.read_text(encoding="utf-8"))
         grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max,
                          cfg.grid.z_min, cfg.grid.z_max)
-        hist = SnapshotHistory()
         solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
-        hist.record(solver)
-        solver.run(cfg.solver.t_end, on_snapshot=hist.record)
-        rep = check_short_time_bound(hist, cfg.data.n0, cfg.invariants.h0)
+        rows = [solver.record_diagnostics()]
+        solver.run(cfg.solver.t_end, on_diagnostics=rows.append)
+        rep = check_short_time_bound([r.t for r in rows], [r.q for r in rows],
+                                     cfg.data.n0, cfg.invariants.h0)
         good = rep["pass"] and rep["empirical_h0"] > 0
         ok = ok and good
         lines.append(f"{path.stem}: h0={rep['empirical_h0']:.3g} "

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import axiswirl.cli
+import axiswirl.microscope
 from axiswirl.cli import DIAG_COLUMNS, MICRO_COLUMNS, main
 from axiswirl.config import parse_config
 from axiswirl.fields import SnapshotHistory, make_grid, read_snapshot
@@ -165,6 +166,22 @@ def test_microscope_dump_removes_cubes_of_an_earlier_run(tmp_path):
     assert rows > 0
     assert sorted(p.name for p in out.glob("cube_*.bin")) == \
         [f"cube_{k:04d}.bin" for k in range(rows)]
+
+
+def test_microscope_fault_is_not_swallowed(tmp_path, monkeypatch, capsys):
+    # a ValueError out of the closeness measurement is a fault, not a
+    # candidate to skip: the command fails instead of writing fewer rows
+    out = tmp_path / "out"
+    cfg = _small_ring_config(tmp_path, out, "microscope:\n  sigma0: 80.0\n")
+    assert main(["simulate", "--config", cfg]) == 0
+
+    def broken(sample, config):
+        raise ValueError("broken closeness")
+
+    monkeypatch.setattr(axiswirl.microscope, "constant_closeness", broken)
+    assert main(["microscope", "--config", cfg, "--snapshots", str(out)]) == 1
+    assert "broken closeness" in capsys.readouterr().err
+    assert not (out / "microscope.csv").exists()
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -377,6 +394,60 @@ def test_validate_checks_every_step(tmp_path, capsys):
     assert line.endswith("PASS")
 
 
+def test_validate_keeps_at_most_three_states(tmp_path, monkeypatch, capsys):
+    # the suite reads every step's diagnostics; only the zoom check's first
+    # three states stay in memory, whatever the step count
+    most = []
+    push = SnapshotHistory.push
+
+    def counting_push(self, t, fld, pressure):
+        push(self, t, fld, pressure)
+        most.append(len(self))
+
+    monkeypatch.setattr(SnapshotHistory, "push", counting_push)
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  dt: 2e-3\n  t_end: 0.024\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        "invariants:\n  h0: 0.01\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+    )
+    assert main(["validate", "--config", cfg]) == 0
+    assert "scaling_covariance:" in capsys.readouterr().out
+    assert most == [1, 2, 3]
+
+
+def test_validate_reports_the_diagnostics_simulate_writes(tmp_path, capsys):
+    # one run, two commands: validate's measured values are the extremes of
+    # the diagnostics.csv columns that simulate writes for the same config
+    out = tmp_path / "out"
+    h0 = 0.012
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  dt: 5e-3\n  t_end: 0.03\n  snapshot_every: 1\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        f"invariants:\n  h0: {h0}\n"
+        f"output:\n  directory: {out}\n",
+    )
+    assert main(["validate", "--config", cfg]) == 0
+    measured = {}
+    for line in capsys.readouterr().out.splitlines():
+        name, _, rest = line.partition(": measured=")
+        if rest:
+            measured[name] = rest.split()[0]
+    assert main(["simulate", "--config", cfg]) == 0
+    head, *rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
+    cols = {name: [float(row.split(",")[k]) for row in rows]
+            for k, name in enumerate(head.split(","))}
+    assert len(rows) == 7
+    short_time = max(q for t, q in zip(cols["t"], cols["Q"]) if t <= h0)
+    assert measured["max_principle"] == "%.6g" % max(cols["max_rvtheta"])
+    assert measured["short_time_bound"] == "%.6g" % short_time
+    assert measured["divergence"] == "%.6g" % max(cols["max_divergence"])
+
+
 def test_validate_divergence_bound_follows_solver_tolerance(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = _write(
@@ -410,9 +481,9 @@ def test_validate_uses_solver_mu_for_scaling_covariance(tmp_path, monkeypatch):
     seen = []
     suite = axiswirl.cli.run_invariant_suite
 
-    def spy(history, n0, invariants, solver):
+    def spy(rows, first, n0, invariants, solver):
         seen.append(solver)
-        return suite(history, n0, invariants, solver)
+        return suite(rows, first, n0, invariants, solver)
 
     monkeypatch.setattr(axiswirl.cli, "run_invariant_suite", spy)
     text = ("grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"

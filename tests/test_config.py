@@ -50,9 +50,11 @@ def test_solver_poisson_max_iter_is_unknown_key():
 
 
 def test_invariants_scaling_lambda_is_unknown_key():
-    # validate's zoom check runs at the fixed factor 2
-    with pytest.raises(ConfigError, match="unknown key invariants.scaling_lambda"):
-        parse_config("invariants:\n  scaling_lambda: 3.0\n")
+    # validate's zoom check runs at the fixed factor 2, and the suite's other
+    # gates are constants too: no config can loosen them
+    for key in ("scaling_lambda", "energy_tol", "max_principle_tol", "divergence_factor"):
+        with pytest.raises(ConfigError, match=f"unknown key invariants.{key}"):
+            parse_config(f"invariants:\n  {key}: 3.0\n")
 
 
 def test_lamb_oseen_nu_must_equal_solver_mu():

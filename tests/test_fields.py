@@ -17,10 +17,10 @@ from axiswirl.fields import (
     sample_components,
     write_snapshot,
 )
-from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_peak
+from axiswirl.initial import DataSpec, generate, lamb_oseen_field
 from axiswirl.solver import AxisymSolver, SolverConfig, build_divergence_matrix, divergence
 
-from conftest import rigid_rotation
+from conftest import lamb_oseen_peak, rigid_rotation
 
 
 # ---------------------------------------------------------------------------

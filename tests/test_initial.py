@@ -8,13 +8,14 @@ from axiswirl.initial import (
     check_n0_bounds,
     generate,
     lamb_oseen_field,
-    lamb_oseen_peak,
     lamb_oseen_profile,
     n0_norms,
     stream_random,
     vortex_ring_swirl,
 )
 from axiswirl.solver import build_divergence_matrix, divergence
+
+from conftest import lamb_oseen_peak
 
 
 def test_dataspec_rejects_bad_n0():
