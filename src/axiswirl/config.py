@@ -104,7 +104,7 @@ def _build_section(cls, data: dict, path: str):
 
 def parse_config(text: str) -> RunConfig:
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
     if doc is None:
@@ -148,7 +148,7 @@ def serialize_config(cfg: RunConfig) -> str:
         doc[name] = dataclasses.asdict(section)
     if cfg.sweep:
         doc["sweep"] = cfg.sweep
-    return yaml.safe_dump(doc, sort_keys=True)
+    return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=True)
 
 
 def apply_override(cfg: RunConfig, path: str, value: Any) -> RunConfig:

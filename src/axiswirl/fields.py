@@ -202,17 +202,17 @@ def _argmax_lex(weighted: np.ndarray) -> tuple[int, int]:
     return np.unravel_index(flat, weighted.shape)  # type: ignore[return-value]
 
 
-def max_speed(fld: AxisymField) -> tuple[float, tuple[float, float]]:
-    """Global maximum of |v| over nodes with its (r, z) location."""
-    sp = fld.speed()
+def max_speed(fld: AxisymField, speed=None) -> tuple[float, tuple[float, float]]:
+    """Largest |v| over nodes and its (r, z) location; ``speed`` is fld.speed(), if made."""
+    sp = fld.speed() if speed is None else speed
     i, j = _argmax_lex(sp)
     g = fld.grid
     return float(sp[i, j]), (float(i * g.dr), float(g.z_min + j * g.dz))
 
 
-def max_rspeed(fld: AxisymField) -> tuple[float, tuple[float, float]]:
-    """Global maximum of r*|v| over nodes with its (r, z) location."""
-    sp = fld.speed() * fld.grid.r[:, None]
+def max_rspeed(fld: AxisymField, speed=None) -> tuple[float, tuple[float, float]]:
+    """Largest r*|v| over nodes and its (r, z) location; ``speed`` as for max_speed."""
+    sp = (fld.speed() if speed is None else speed) * fld.grid.r[:, None]
     i, j = _argmax_lex(sp)
     g = fld.grid
     return float(sp[i, j]), (float(i * g.dr), float(g.z_min + j * g.dz))
@@ -223,9 +223,9 @@ def max_rvtheta(fld: AxisymField) -> float:
     return float(np.max(fld.grid.r[:, None] * np.abs(fld.vtheta)))
 
 
-def boundary_max(fld: AxisymField) -> float:
-    """Largest speed on the far-field boundary (r=r_max, z=z_min, z=z_max)."""
-    sp = fld.speed()
+def boundary_max(fld: AxisymField, speed=None) -> float:
+    """Largest speed on the far boundary (r=r_max, z=z_min, z=z_max); ``speed`` as for max_speed."""
+    sp = fld.speed() if speed is None else speed
     return float(max(sp[-1, :].max(), sp[:, 0].max(), sp[:, -1].max()))
 
 

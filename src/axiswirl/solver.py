@@ -104,26 +104,30 @@ def _pad_z(f: np.ndarray) -> np.ndarray:
     return out
 
 
-def advect(b: AxisymField, vals: np.ndarray, parity: int = 1) -> np.ndarray:
-    """Upwind evaluation of b.grad f = vr d_r f + vz d_z f (second-order biased)
-    for the nodal values ``vals`` of f on b's grid.
+def upwind_split(b: AxisymField) -> tuple[np.ndarray, ...]:
+    """b's advecting velocities split by sign: max(vr, 0), min(vr, 0), max(vz, 0), min(vz, 0)."""
+    return tuple(op(v, 0.0) for v in (b.vr, b.vz) for op in (np.maximum, np.minimum))
 
-    ``parity`` gives the axis symmetry of f (+1 even, -1 odd) for the ghost rows.
+
+def advect(b: AxisymField, vals: np.ndarray, parity: int = 1, split=None) -> np.ndarray:
+    """Upwind evaluation of b.grad f = vr d_r f + vz d_z f (second-order biased)
+    for the nodal values ``vals`` of f on b's grid: a velocity's positive part
+    (``split`` = upwind_split(b), if made) takes the backward difference, its
+    negative part the forward one.  ``parity`` gives the axis symmetry of f
+    (+1 even, -1 odd) for the ghost rows.
     """
     dr, dz = b.grid.dr, b.grid.dz
-    vr, vz = b.vr, b.vz
+    vr_p, vr_m, vz_p, vz_m = upwind_split(b) if split is None else split
 
-    fr = _pad_r(vals, parity)  # index i+2 == physical i
-    back_r = (3 * fr[2:-2] - 4 * fr[1:-3] + fr[:-4]) / (2 * dr)
-    fwd_r = (-3 * fr[2:-2] + 4 * fr[3:-1] - fr[4:]) / (2 * dr)
-    d_r = np.where(vr > 0, back_r, np.where(vr < 0, fwd_r, 0.5 * (back_r + fwd_r)))
+    f = _pad_r(vals, parity)  # index i+2 == physical i
+    back = (3 * f[2:-2] - 4 * f[1:-3] + f[:-4]) / (2 * dr)
+    fwd = (-3 * f[2:-2] + 4 * f[3:-1] - f[4:]) / (2 * dr)
+    radial = vr_p * back + vr_m * fwd  # names reused: frees the radial stencils
 
-    fz = _pad_z(vals)
-    back_z = (3 * fz[:, 2:-2] - 4 * fz[:, 1:-3] + fz[:, :-4]) / (2 * dz)
-    fwd_z = (-3 * fz[:, 2:-2] + 4 * fz[:, 3:-1] - fz[:, 4:]) / (2 * dz)
-    d_z = np.where(vz > 0, back_z, np.where(vz < 0, fwd_z, 0.5 * (back_z + fwd_z)))
-
-    return vr * d_r + vz * d_z
+    f = _pad_z(vals)
+    back = (3 * f[:, 2:-2] - 4 * f[:, 1:-3] + f[:, :-4]) / (2 * dz)
+    fwd = (-3 * f[:, 2:-2] + 4 * f[:, 3:-1] - f[:, 4:]) / (2 * dz)
+    return radial + (vz_p * back + vz_m * fwd)
 
 
 def momentum_rhs(state: AxisymField) -> AxisymField:
@@ -137,14 +141,13 @@ def momentum_rhs(state: AxisymField) -> AxisymField:
     boundary nodes are left to the boundary conditions.
     """
     g = state.grid
-    rinv = np.zeros(g.nr + 1)
-    rinv[1:] = 1.0 / g.r[1:]
-    rinv = rinv[:, None]
+    rinv = np.r_[0.0, 1.0 / g.r[1:]][:, None]
+    split = upwind_split(state)
     return AxisymField(
         g,
-        -advect(state, state.vr, parity=-1) + state.vtheta**2 * rinv,
-        -advect(state, state.vtheta, parity=-1) - state.vr * state.vtheta * rinv,
-        -advect(state, state.vz, parity=1),
+        -advect(state, state.vr, -1, split) + state.vtheta**2 * rinv,
+        -advect(state, state.vtheta, -1, split) - state.vr * state.vtheta * rinv,
+        -advect(state, state.vz, 1, split),
     )
 
 
@@ -277,11 +280,9 @@ class ProjectionOperator:
         if div_norm < self.tol:
             return u_star.copy(), ScalarField(g, np.zeros(g.shape))
         s = self._inverse(div / dt)
-        grad = np.zeros(2 * self._npts)
-        grad[self._mask] = (self.D.T @ s)[self._mask] / self._wu[self._mask]
-        out = u_star.copy()
-        out.vr -= dt * grad[: self._npts].reshape(g.shape)
-        out.vz -= dt * grad[self._npts:].reshape(g.shape)
+        grad = np.divide(self.D.T @ s, self._wu, out=np.zeros(2 * self._npts), where=self._mask)
+        out = AxisymField(g, u_star.vr - dt * grad[: self._npts].reshape(g.shape),
+                          u_star.vtheta.copy(), u_star.vz - dt * grad[self._npts:].reshape(g.shape))
         left = float(np.linalg.norm(divergence(self.D, out)))
         if left > self.tol:
             raise PoissonError(
@@ -369,6 +370,10 @@ class HelmholtzSolver:
         self._ops = {"vr": (swirl, 1, radial_swirl, dirichlet),
                      "vtheta": (swirl, 1, radial_swirl, neumann),
                      "vz": (plain, 0, radial_plain, dirichlet)}
+        # per component: L's couplings of the last unknown row to r_max and of the
+        # end unknown columns to the z ends (folded into vtheta's operator if Neumann)
+        self._edges = {name: (R[-1, -1], 0.0 if neumann_swirl and name == "vtheta" else Z[0, 0])
+                       for name, (R, *_) in self._ops.items()}
 
     def laplacian(self, fld: AxisymField) -> AxisymField:
         """L applied to every component; zero on the boundary nodes it does not reach."""
@@ -380,15 +385,18 @@ class HelmholtzSolver:
 
     def solve(self, rhs: AxisymField, bounded: AxisymField, c: float) -> AxisymField:
         """U with (I - c L) U = rhs on the unknown nodes and U = ``bounded`` on
-        the others; ``bounded`` is rhs with the boundary conditions applied."""
-        lap = self.laplacian(bounded)
+        the others; ``bounded`` is rhs with the boundary conditions applied, zero
+        on the vr and vtheta axis rows.  The other fixed values enter through L's
+        couplings of the unknowns next to them: the last row and the end columns."""
         out = bounded.copy()
         for name, (_, lo, (vr_, wr, lr), (vz_, wz, lz)) in self._ops.items():
+            (up_r, end_z), x = self._edges[name], getattr(bounded, name)
             unk = (slice(lo, -1), slice(1, -1))
-            # the correction to ``bounded`` vanishes on the fixed nodes
-            b = (getattr(rhs, name) - getattr(bounded, name) + c * getattr(lap, name))[unk]
+            b = getattr(rhs, name)[unk].copy()
+            b[-1] += c * up_r * x[-1, 1:-1]
+            b[:, [0, -1]] += c * end_z * x[unk[0], [0, -1]]
             y = (vr_.T @ (wr[:, None] * b * wz) @ vz_) / (1.0 - c * (lr[:, None] + lz))
-            getattr(out, name)[unk] += vr_ @ y @ vz_.T
+            getattr(out, name)[unk] = vr_ @ y @ vz_.T
         return out
 
 
@@ -494,8 +502,9 @@ class AxisymSolver:
         self.step_count += 1
 
     def record_diagnostics(self) -> DiagnosticsRecord:
-        q, (qr, qz) = max_speed(self.state)
-        rsp, _ = max_rspeed(self.state)
+        sp = self.state.speed()
+        q, (qr, qz) = max_speed(self.state, sp)
+        rsp, _ = max_rspeed(self.state, sp)
         return DiagnosticsRecord(
             step=self.step_count,
             t=self.t,
@@ -506,7 +515,7 @@ class AxisymSolver:
             max_rvtheta=max_rvtheta(self.state),
             energy=kinetic_energy(self.state),
             max_divergence=float(np.max(np.abs(divergence(self.projection.D, self.state)))),
-            boundary_max=boundary_max(self.state),
+            boundary_max=boundary_max(self.state, sp),
         )
 
     def run(self, t_end: float, on_snapshot=None, on_diagnostics=None) -> None:

@@ -1,5 +1,8 @@
 """Tests for strict YAML run-configuration parsing and overrides."""
+from pathlib import Path
+
 import pytest
+import yaml
 
 from axiswirl.config import (
     ConfigError,
@@ -110,6 +113,27 @@ def test_round_trip_law():
     assert again == cfg
     # serialization is deterministic
     assert serialize_config(cfg) == serialize_config(again)
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.yaml"))
+                         + sorted(ROOT.glob("perfbench/inputs/*.yaml")),
+                         ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_libyaml_loads_and_dumps_what_pure_python_does(path, monkeypatch):
+    # libyaml, where PyYAML has it, against the pure-Python SafeLoader and
+    # SafeDumper that the config falls back to without it: the same documents
+    # (types included) and the same config.yaml text
+    text = path.read_text(encoding="utf-8")
+    fast = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+    assert repr(fast) == repr(yaml.load(text, Loader=yaml.SafeLoader))
+    cfg = parse_config(text)
+    dumped = serialize_config(cfg)
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
+    assert parse_config(text) == cfg
+    assert serialize_config(cfg) == dumped
 
 
 def test_sweep_validation():

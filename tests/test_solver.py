@@ -24,12 +24,15 @@ from axiswirl.solver import (
     PoissonError,
     ProjectionOperator,
     SolverConfig,
+    _pad_r,
+    _pad_z,
     advect,
     build_divergence_matrix,
     divergence,
     kinetic_energy,
     momentum_rhs,
     stable_dt,
+    upwind_split,
     volume_weights,
 )
 from axiswirl.validation import lamb_oseen_convergence, lamb_oseen_run
@@ -98,6 +101,47 @@ def test_advect_manufactured_profile():
         errs.append(float(np.max(np.abs(interior(got - exact)))))
     assert errs[0] < 2e-3
     assert errs[0] / errs[1] > 3.0  # the biased stencil is second order on smooth data
+
+
+def _advect_nested_where(b, vals, parity):
+    """Oracle: the one-sided derivatives picked per node by the sign of the
+    velocity, with their mean where it is zero, then multiplied by it."""
+    dr, dz = b.grid.dr, b.grid.dz
+    fr = _pad_r(vals, parity)
+    back_r = (3 * fr[2:-2] - 4 * fr[1:-3] + fr[:-4]) / (2 * dr)
+    fwd_r = (-3 * fr[2:-2] + 4 * fr[3:-1] - fr[4:]) / (2 * dr)
+    d_r = np.where(b.vr > 0, back_r, np.where(b.vr < 0, fwd_r, 0.5 * (back_r + fwd_r)))
+    fz = _pad_z(vals)
+    back_z = (3 * fz[:, 2:-2] - 4 * fz[:, 1:-3] + fz[:, :-4]) / (2 * dz)
+    fwd_z = (-3 * fz[:, 2:-2] + 4 * fz[:, 3:-1] - fz[:, 4:]) / (2 * dz)
+    d_z = np.where(b.vz > 0, back_z, np.where(b.vz < 0, fwd_z, 0.5 * (back_z + fwd_z)))
+    return b.vr * d_r + b.vz * d_z
+
+
+def test_upwind_split_matches_nested_where_oracle(grid32):
+    # velocities with positive, negative and exactly zero entries, each
+    # component zero on its own nodes and both zero on some
+    rng = np.random.default_rng(11)
+    vr, vtheta, vz = rng.normal(size=(3,) + grid32.shape)
+    vr[rng.random(grid32.shape) < 0.3] = 0.0
+    vz[rng.random(grid32.shape) < 0.3] = 0.0
+    b = AxisymField(grid32, vr, vtheta, vz)
+    still = (vr == 0.0) & (vz == 0.0)
+    assert (vr > 0).any() and (vr < 0).any() and (vz > 0).any() and (vz < 0).any()
+    assert still.any() and ((vr == 0.0) & ~still).any() and ((vz == 0.0) & ~still).any()
+    split = upwind_split(b)
+    for vals, parity in ((vr, -1), (vtheta, -1), (vz, 1), (rng.normal(size=grid32.shape), 1)):
+        want = _advect_nested_where(b, vals, parity)
+        for got in (advect(b, vals, parity), advect(b, vals, parity, split)):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=0)
+            assert np.all(got[still] == 0.0)
+    rinv = np.r_[0.0, 1.0 / grid32.r[1:]][:, None]
+    rhs = momentum_rhs(b)
+    np.testing.assert_allclose(rhs.vr, -_advect_nested_where(b, vr, -1) + vtheta**2 * rinv,
+                               rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rhs.vtheta, -_advect_nested_where(b, vtheta, -1)
+                               - vr * vtheta * rinv, rtol=1e-14, atol=0)
+    np.testing.assert_allclose(rhs.vz, -_advect_nested_where(b, vz, 1), rtol=1e-14, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +619,24 @@ def test_helmholtz_solve_residual(neumann_swirl):
         np.testing.assert_array_equal(getattr(u, name)[-1], getattr(bounded, name)[-1])
         res = (getattr(u, name) - c * getattr(lap, name) - getattr(rhs, name))[unk]
         assert np.max(np.abs(res)) <= 1e-12 * np.max(np.abs(getattr(rhs, name)[unk])), name
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_solve_applies_no_laplacian_and_a_step_one(boundary, monkeypatch):
+    # the fixed values enter a solve through the edge couplings alone; a step
+    # applies L once, to the first stage's solution for its explicit term
+    calls = []
+    laplacian = HelmholtzSolver.laplacian
+    monkeypatch.setattr(HelmholtzSolver, "laplacian",
+                        lambda self, fld: calls.append(1) or laplacian(self, fld))
+    g = make_grid(*HELMHOLTZ_GRID)
+    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
+                          SolverConfig(cfl=0.4, boundary=boundary))
+    state = solver.state
+    solver.helmholtz.solve(state, solver._apply_bcs(state), 0.01)
+    assert calls == []
+    solver.step()
+    assert calls == [1]
 
 
 def test_changing_dt_rebuilds_no_eigenvectors(monkeypatch):
