@@ -19,10 +19,6 @@ SNAPSHOT_MAGIC = b"AXNS"
 SNAPSHOT_VERSION = 1
 
 
-class OutOfDomainError(ValueError):
-    """A query point lies outside the meridional grid."""
-
-
 @dataclass(frozen=True)
 class Grid:
     """Uniform node grid: r_i = i*dr for i=0..nr, z_j = z_min + j*dz for j=0..nz."""
@@ -135,63 +131,40 @@ class SnapshotHistory:
         return np.array([s.t for s in self.snapshots])
 
 
-def bilinear_sample(grid: Grid, values: np.ndarray, r, z):
-    """Bilinear interpolation of nodal values at points (r, z). Vectorized.
-
-    Raises OutOfDomainError if any point leaves the grid (tiny roundoff slack).
-    """
-    r = np.asarray(r, dtype=float)
-    z = np.asarray(z, dtype=float)
-    dr, dz = grid.dr, grid.dz
-    fi = r / dr
-    fj = (z - grid.z_min) / dz
-    eps = 1e-12
-    if np.any(fi < -eps * grid.nr) or np.any(fi > grid.nr * (1 + eps)):
-        raise OutOfDomainError("radial coordinate outside grid")
-    if np.any(fj < -eps) or np.any(fj > grid.nz + eps):
-        raise OutOfDomainError("axial coordinate outside grid")
-    fi = np.clip(fi, 0.0, grid.nr)
-    fj = np.clip(fj, 0.0, grid.nz)
-    i0 = np.minimum(fi.astype(int), grid.nr - 1)
-    j0 = np.minimum(fj.astype(int), grid.nz - 1)
-    wi = fi - i0
-    wj = fj - j0
-    v00 = values[i0, j0]
-    v10 = values[i0 + 1, j0]
-    v01 = values[i0, j0 + 1]
-    v11 = values[i0 + 1, j0 + 1]
+def sample_cartesian(fields, pts) -> tuple[np.ndarray, np.ndarray]:
+    """Cartesian velocities v = vr e_r + vtheta e_theta + vz e_z of each of the
+    ``fields`` (k, all on one grid) at the (m, 3) points (x1, x2, z): (k, m, 3)
+    and the (m,) mask of points inside the meridional domain, boundary
+    included.  Each component is bilinear in (r, z); the cell, its weights and
+    the azimuthal frame are worked out once for all fields.  Outside points
+    read 0; on the axis, where the frame is undefined, only vz."""
+    g = fields[0].grid
+    pts = np.asarray(pts, dtype=float)
+    r, z = np.hypot(pts[:, 0], pts[:, 1]), pts[:, 2]
+    inside = (r <= g.r_max) & (z >= g.z_min) & (z <= g.z_max)
+    fi = np.clip(r / g.dr, 0.0, g.nr)
+    fj = np.clip((z - g.z_min) / g.dz, 0.0, g.nz)
+    i0 = np.minimum(fi.astype(int), g.nr - 1)
+    j0 = np.minimum(fj.astype(int), g.nz - 1)
+    wi, wj = fi - i0, fj - j0
+    vals = np.array([(f.vr, f.vtheta, f.vz) for f in fields])  # (k, 3, nr+1, nz+1)
+    v00, v10 = vals[..., i0, j0], vals[..., i0 + 1, j0]
+    v01, v11 = vals[..., i0, j0 + 1], vals[..., i0 + 1, j0 + 1]
     # incremental form: exact (bitwise) on constant data, since all the
     # correction terms vanish identically
     lo = v00 + wi * (v10 - v00)
     hi = v01 + wi * (v11 - v01)
-    return lo + wj * (hi - lo)
-
-
-def sample_components(fld: AxisymField, r, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interpolated (vr, vtheta, vz) at meridional points (r, z)."""
-    return (
-        bilinear_sample(fld.grid, fld.vr, r, z),
-        bilinear_sample(fld.grid, fld.vtheta, r, z),
-        bilinear_sample(fld.grid, fld.vz, r, z),
-    )
-
-
-def reconstruct_cartesian_many(fld: AxisymField, pts: np.ndarray) -> np.ndarray:
-    """Cartesian vectors v = vr e_r + vtheta e_theta + vz e_z at an (n, 3) array
-    of points (x1, x2, z); on the axis, where the frame is undefined, only vz."""
-    pts = np.asarray(pts, dtype=float)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    vr, vtheta, vz = sample_components(fld, r, pts[:, 2])
-    out = np.empty_like(pts)
+    vr, vtheta, vz = np.moveaxis(lo + wj * (hi - lo), 1, 0)
     safe = r > 0
     cr = np.where(safe, pts[:, 0] / np.where(safe, r, 1.0), 0.0)
     sr = np.where(safe, pts[:, 1] / np.where(safe, r, 1.0), 0.0)
-    out[:, 0] = vr * cr - vtheta * sr
-    out[:, 1] = vr * sr + vtheta * cr
-    out[:, 2] = vz
-    out[~safe, 0] = 0.0
-    out[~safe, 1] = 0.0
-    return out
+    out = np.empty((len(fields), len(pts), 3))
+    out[..., 0] = vr * cr - vtheta * sr
+    out[..., 1] = vr * sr + vtheta * cr
+    out[..., 2] = vz
+    out[:, ~safe, :2] = 0.0
+    out[:, ~inside] = 0.0
+    return out, inside
 
 
 def _argmax_lex(weighted: np.ndarray) -> tuple[int, int]:

@@ -20,8 +20,7 @@ from .fields import (
     SnapshotHistory,
     max_rspeed,
     max_speed,
-    reconstruct_cartesian_many,
-    sample_components,
+    sample_cartesian,
     write_atomic,
 )
 
@@ -133,7 +132,8 @@ def find_almost_maximal(history: SnapshotHistory, mode: str,
             q = val
         else:
             val, (r0, z0) = max_rspeed(snap.field)
-            vr, vt, vz = sample_components(snap.field, r0, z0)
+            # at (r0, 0, z0) the Cartesian components are (vr, vtheta, vz)
+            vr, vt, vz = sample_cartesian([snap.field], [[r0, 0.0, z0]])[0][0, 0]
             q = float(np.sqrt(vr**2 + vt**2 + vz**2))
         running = max(running, val)
         if val <= 0.0 or running <= 0.0:
@@ -144,9 +144,8 @@ def find_almost_maximal(history: SnapshotHistory, mode: str,
     return out
 
 
-def _interp_field_at(history: SnapshotHistory, t: float) -> tuple[int, int, float]:
+def _interp_field_at(times: np.ndarray, t: float) -> tuple[int, int, float]:
     """Bracketing snapshot indices and linear weight for time t (clamped above)."""
-    times = history.times
     k = int(np.searchsorted(times, t))
     if k == 0:
         return 0, 0, 0.0
@@ -179,7 +178,6 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     nt = config.cube_time_levels
     xs = np.linspace(-L, L, n)
     ts = np.linspace(-L * L, 0.0, nt)
-    grid = history.snapshots[0].field.grid
 
     phys = np.empty((n, n, n, 3))
     x0 = zoom.x0
@@ -188,30 +186,26 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     phys[..., 1] = X2 / zoom.q + x0[1]
     phys[..., 2] = X3 / zoom.q + x0[2]
 
-    pts = phys.reshape(-1, 3)
-    r = np.hypot(pts[:, 0], pts[:, 1])
-    in_space = (r <= grid.r_max) & (pts[:, 2] >= grid.z_min) & (pts[:, 2] <= grid.z_max)
-    safe_pts = pts.copy()
-    safe_pts[~in_space] = [0.5 * grid.r_max, 0.0, 0.5 * (grid.z_min + grid.z_max)]
+    # the time levels inside the history, their brackets, and the snapshots they read
+    times = history.times
+    t_phys = ts / zoom.q**2 + zoom.t0
+    levels = [(k, *_interp_field_at(times, t)) for k, t in enumerate(t_phys)
+              if times[0] - 1e-12 <= t <= times[-1] + 1e-12]
+    reads = sorted({i for _, ia, ib, wt in levels
+                    for i in ((ia, ib) if ib != ia and wt > 0 else (ia,))})
 
-    @functools.cache
-    def snapshot_samples(i: int) -> np.ndarray:  # once per cube; 0 outside the domain
-        vi = reconstruct_cartesian_many(history.snapshots[i].field, safe_pts)
-        return np.where(in_space[:, None], vi, 0.0)
-
-    t_lo = history.times[0]
     v = np.zeros((nt, n, n, n, 3))
     valid = np.zeros((nt, n, n, n), bool)
-    for k, tt in enumerate(ts):
-        t_phys = tt / zoom.q**2 + zoom.t0
-        if t_phys < t_lo - 1e-12 or t_phys > history.times[-1] + 1e-12:
-            continue
-        ia, ib, wt = _interp_field_at(history, t_phys)
-        va = snapshot_samples(ia)
-        # incremental form: bitwise exact when both snapshots agree
-        vk = va + wt * (snapshot_samples(ib) - va) if ib != ia and wt > 0 else va
-        v[k] = (vk / zoom.q).reshape(n, n, n, 3)
-        valid[k] = in_space.reshape(n, n, n)
+    if reads:
+        samples, inside = sample_cartesian([history.snapshots[i].field for i in reads],
+                                           phys.reshape(-1, 3))
+        at = dict(zip(reads, samples))
+        for k, ia, ib, wt in levels:
+            va = at[ia]
+            # incremental form: bitwise exact when both snapshots agree
+            vk = va + wt * (at[ib] - va) if ib != ia and wt > 0 else va
+            v[k] = (vk / zoom.q).reshape(n, n, n, 3)
+            valid[k] = inside.reshape(n, n, n)
 
     if not valid.any():
         raise InsufficientSamplesError("cube is fully masked (no history/domain coverage)")

@@ -155,43 +155,33 @@ def momentum_rhs(state: AxisymField) -> AxisymField:
 # divergence matrix, weights and the projection operator
 # ---------------------------------------------------------------------------
 
-def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
-    """Sparse matrix D of the discrete divergence acting on stacked [vr, vz] nodes.
+def divergence_operators(g: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The 1D factors of the divergence, as dense matrices: Ar = d_r + 1/r on
+    the nr+1 radial nodes, whose axis row is the limit 2 d_r of an odd vr, and
+    Az = d_z on the nz+1 axial nodes.  Centred in the interior, second-order
+    one-sided at the outer ends."""
+    def d1(n: int, h: float) -> np.ndarray:
+        A = (np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)) / (2 * h)
+        A[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
+        A[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
+        return A
 
-    div b = d_r vr + vr/r + d_z vz, centred in the interior; at the axis the
-    regularised form 2 d_r vr + d_z vz (odd vr ghost); second-order one-sided
-    differences at the outer boundaries.  Each stencil case is one block of
-    (rows, cols, value) over the node index grid; the result is canonical CSR
-    (sorted column indices, no duplicates)."""
-    nr, nz = g.nr, g.nz
-    dr, dz = g.dr, g.dz
-    npts = (nr + 1) * (nz + 1)
-    idx = np.arange(npts).reshape(nr + 1, nz + 1)
-    vz = idx + npts  # axial terms act on the vz half of the stacked vector
-    inv_r = (1.0 / (np.arange(1, nr) * dr))[:, None]
-    blocks = [
-        # radial: d_r vr + vr/r; the axis row uses the limit 2 d_r vr
-        (idx[0], idx[1], 2.0 / dr),
-        (idx[1:-1], idx[2:], 1 / (2 * dr)),
-        (idx[1:-1], idx[:-2], -1 / (2 * dr)),
-        (idx[1:-1], idx[1:-1], inv_r),
-        (idx[-1], idx[-1], 3 / (2 * dr) + 1.0 / (nr * dr)),
-        (idx[-1], idx[-2], -4 / (2 * dr)),
-        (idx[-1], idx[-3], 1 / (2 * dr)),
-        # axial: d_z vz, one-sided second order on the z ends
-        (idx[:, 0], vz[:, 0], -3 / (2 * dz)),
-        (idx[:, 0], vz[:, 1], 4 / (2 * dz)),
-        (idx[:, 0], vz[:, 2], -1 / (2 * dz)),
-        (idx[:, 1:-1], vz[:, 2:], 1 / (2 * dz)),
-        (idx[:, 1:-1], vz[:, :-2], -1 / (2 * dz)),
-        (idx[:, -1], vz[:, -1], 3 / (2 * dz)),
-        (idx[:, -1], vz[:, -2], -4 / (2 * dz)),
-        (idx[:, -1], vz[:, -3], 1 / (2 * dz)),
-    ]
-    rows = np.concatenate([r.ravel() for r, _, _ in blocks])
-    cols = np.concatenate([c.ravel() for _, c, _ in blocks])
-    vals = np.concatenate([np.broadcast_to(v, r.shape).ravel() for r, _, v in blocks])
-    D = sp.csr_matrix((vals, (rows, cols)), shape=(npts, 2 * npts))
+    Ar, Az = d1(g.nr, g.dr), d1(g.nz, g.dz)
+    Ar[0, :3] = [0.0, 2.0 / g.dr, 0.0]
+    i = np.arange(1, g.nr)
+    Ar[i, i] = 1.0 / (i * g.dr)
+    Ar[-1, -1] += 1.0 / (g.nr * g.dr)
+    return Ar, Az
+
+
+def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
+    """Sparse matrix D of the discrete divergence acting on stacked [vr, vz]
+    nodes: D = [Ar (x) I_z, I_r (x) Az] from divergence_operators, as canonical
+    CSR (sorted column indices, no duplicates)."""
+    Ar, Az = divergence_operators(g)
+    I_r, I_z = sp.eye(g.nr + 1, format="csr"), sp.eye(g.nz + 1, format="csr")
+    D = sp.hstack([sp.kron(Ar, I_z, format="csr"), sp.kron(I_r, Az, format="csr")],
+                  format="csr")
     D.sort_indices()
     return D
 
@@ -222,9 +212,9 @@ class ProjectionOperator:
     """Exact discrete Helmholtz projection onto divergence-free fields.
 
     Solves K s = div(u*)/dt, K = D_f W^-1 D_f^T, directly.  On the free nodes
-    K = Kr (x) Pz + Mr (x) Kz, from the 1D divergence operators Ar and Az
-    (slices of D): Kr = Ar_f Wr^-1 Ar_f^T, Mr = Wr^-1 on the free vz rows,
-    Kz = Az_f Az_f^T and Pz the identity on the free vr columns.  The
+    K = Kr (x) Pz + Mr (x) Kz, from D's 1D factors Ar and Az
+    (divergence_operators): Kr = Ar_f Wr^-1 Ar_f^T, Mr = Wr^-1 on the free vz
+    rows, Kz = Az_f Az_f^T and Pz the identity on the free vr columns.  The
     generalised eigenvectors (V^T B V = I) of the definite pencils
     (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964),
     so s = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact inverse applied to R on
@@ -245,7 +235,7 @@ class ProjectionOperator:
         nz = grid.nz
         npts = (grid.nr + 1) * (nz + 1)
         self._npts = npts
-        self.D = D = build_divergence_matrix(grid)
+        self.D = build_divergence_matrix(grid)
         w = volume_weights(grid)
         free_vr = np.zeros(grid.shape, bool)
         free_vr[1:-1, 1:-1] = True
@@ -254,9 +244,7 @@ class ProjectionOperator:
         self._mask = np.concatenate([free_vr.ravel(), free_vz.ravel()])
         self._wp = w.ravel()
         self._wu = np.concatenate([self._wp, self._wp])
-        # Ar: the vr half at z index 0; Az: the vz half at r index 0
-        Ar = D[:npts:nz + 1, :npts:nz + 1].toarray()[:, 1:-1]
-        Az = D[:nz + 1, npts:npts + nz + 1].toarray()[:, 1:-1]
+        Ar, Az = (A[:, 1:-1] for A in divergence_operators(grid))
         wr = w[:, 1]  # an inner z column: the radial weights times dr dz
         Kr = (Ar / wr[1:-1]) @ Ar.T
         Kz = Az @ Az.T

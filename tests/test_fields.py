@@ -4,17 +4,14 @@ import pytest
 
 from axiswirl.fields import (
     AxisymField,
-    OutOfDomainError,
     ScalarField,
     SnapshotHistory,
-    bilinear_sample,
     boundary_max,
     make_grid,
     max_rspeed,
     max_speed,
     read_snapshot,
-    reconstruct_cartesian_many,
-    sample_components,
+    sample_cartesian,
     write_snapshot,
 )
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field
@@ -141,14 +138,20 @@ def _unit_component_fields(grid):
     return fields
 
 
+def _sample(fld, pts):
+    """sample_cartesian for one field at points that all lie inside the domain."""
+    v, inside = sample_cartesian([fld], pts)
+    assert inside.all()
+    return v[0]
+
+
 def test_frame_orthonormality_random_points():
-    # the reconstruction of a unit e_r, e_theta or e_z field is that frame vector
+    # the sample of a unit e_r, e_theta or e_z field is that frame vector
     rng = np.random.default_rng(7)
     pts = rng.uniform(-3.0, 3.0, size=(10_000, 3))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-6]
     grid = make_grid(8, 8, 5.0, -3.0, 3.0)
-    e = np.stack([reconstruct_cartesian_many(f, pts) for f in _unit_component_fields(grid)],
-                 axis=1)
+    e = np.stack([_sample(f, pts) for f in _unit_component_fields(grid)], axis=1)
     gram = np.einsum("nij,nkj->nik", e, e)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(3), gram.shape), atol=1e-12)
 
@@ -159,13 +162,12 @@ def test_frame_rejects_axis_point():
     grid = make_grid(8, 8, 5.0, -3.0, 3.0)
     pts = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
     for k, fld in enumerate(_unit_component_fields(grid)):
-        np.testing.assert_array_equal(reconstruct_cartesian_many(fld, pts),
-                                      [[0.0, 0.0, float(k == 2)]] * 2)
+        np.testing.assert_array_equal(_sample(fld, pts), [[0.0, 0.0, float(k == 2)]] * 2)
 
 
 def test_reconstruct_rigid_rotation(grid16):
     fld = rigid_rotation(grid16, omega=0.5)
-    v = reconstruct_cartesian_many(fld, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    v = _sample(fld, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
     np.testing.assert_allclose(v, [[0.0, 0.5, 0.0], [-0.5, 0.0, 0.0]], atol=1e-12)
 
 
@@ -173,16 +175,30 @@ def test_reconstruct_constant_axial_flow(grid16):
     fld = AxisymField.zeros(grid16)
     fld.vz[:] = 2.5
     pts = np.array([[0.3, 0.4, 0.2], [0.0, 0.0, -0.5], [1.0, -1.0, 0.9]])
-    v = reconstruct_cartesian_many(fld, pts)
+    v = _sample(fld, pts)
     np.testing.assert_allclose(v, [[0.0, 0.0, 2.5]] * 3, atol=1e-12)
 
 
-def test_reconstruct_out_of_domain_raises(grid16):
+def test_reconstruct_masks_points_outside_the_domain(grid16):
+    # outside the meridional domain a sample reads 0 and is masked; the far
+    # boundary r = r_max, z = z_min and z = z_max belongs to the domain
     fld = AxisymField.zeros(grid16)
-    with pytest.raises(OutOfDomainError):
-        reconstruct_cartesian_many(fld, np.array([[5.0, 0.0, 0.0]]))
-    with pytest.raises(OutOfDomainError):
-        reconstruct_cartesian_many(fld, np.array([[0.5, 0.0, 3.0]]))
+    fld.vr[:], fld.vtheta[:], fld.vz[:] = 1.0, 2.0, 3.0
+    g = grid16
+    pts = np.array([
+        [5.0, 0.0, 0.0],  # beyond r_max
+        [0.5, 0.0, 3.0],  # above z_max
+        [0.5, 0.0, -3.0],  # below z_min
+        [0.0, -g.r_max * 1.001, 0.0],  # beyond r_max off the x1 axis
+        [g.r_max, 0.0, 0.0],
+        [0.0, g.r_max, g.z_min],
+        [0.5, 0.0, g.z_max],
+    ])
+    v, inside = sample_cartesian([fld], pts)
+    np.testing.assert_array_equal(inside, [False] * 4 + [True] * 3)
+    np.testing.assert_array_equal(v[0, :4], 0.0)
+    np.testing.assert_allclose(v[0, 4:], [[1.0, 2.0, 3.0], [-2.0, 1.0, 3.0], [1.0, 2.0, 3.0]],
+                               atol=1e-12)
 
 
 def test_reconstruct_rotation_invariance(ring_field):
@@ -194,33 +210,55 @@ def test_reconstruct_rotation_invariance(ring_field):
     phi = rng.uniform(0.0, 2 * np.pi, 50)
     a = np.stack([r, np.zeros(50), z], axis=1)
     b = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
-    va = reconstruct_cartesian_many(ring_field, a)
-    vb = reconstruct_cartesian_many(ring_field, b)
+    va = _sample(ring_field, a)
+    vb = _sample(ring_field, b)
     np.testing.assert_allclose(
         np.linalg.norm(va, axis=1), np.linalg.norm(vb, axis=1), atol=1e-12
     )
 
 
 def test_reconstruct_many_matches_single(ring_field):
-    # each row is vr e_r + vtheta e_theta + vz e_z, built point by point
+    # each row is vr e_r + vtheta e_theta + vz e_z, built point by point from
+    # the components sampled at (r, 0, z), where the frame is the identity
     rng = np.random.default_rng(11)
     pts = np.stack([rng.uniform(0.1, 2.5, 20), rng.uniform(-2.0, 2.0, 20),
                     rng.uniform(-3.0, 3.0, 20)], axis=1)
-    many = reconstruct_cartesian_many(ring_field, pts)
+    many = _sample(ring_field, pts)
     for k, (x1, x2, z) in enumerate(pts):
         r = np.hypot(x1, x2)
-        vr, vtheta, vz = (float(c) for c in sample_components(ring_field, r, z))
+        vr, vtheta, vz = _sample(ring_field, [[r, 0.0, z]])[0]
         e_r, e_theta = np.array([x1 / r, x2 / r, 0.0]), np.array([-x2 / r, x1 / r, 0.0])
         expected = vr * e_r + vtheta * e_theta + np.array([0.0, 0.0, vz])
         np.testing.assert_allclose(many[k], expected, atol=1e-12)
 
 
+def test_reconstruct_k_fields_in_one_call_equals_k_single_calls(ring_field):
+    # the shared stencil and frame change no bit of any field's samples
+    rng = np.random.default_rng(13)
+    fields = [ring_field, rigid_rotation(ring_field.grid, omega=0.3), ring_field.copy()]
+    fields[2].vz *= -1.7
+    fields[2].vr += 0.25
+    pts = np.concatenate([
+        np.stack([rng.uniform(-4.5, 4.5, 200), rng.uniform(-4.5, 4.5, 200),
+                  rng.uniform(-4.5, 4.5, 200)], axis=1),
+        [[0.0, 0.0, 1.0], [ring_field.grid.r_max, 0.0, 0.0]],
+    ])
+    many, inside = sample_cartesian(fields, pts)
+    assert many.shape == (3, len(pts), 3)
+    assert 0 < inside.sum() < len(pts)
+    for k, fld in enumerate(fields):
+        one, inside_one = sample_cartesian([fld], pts)
+        np.testing.assert_array_equal(inside_one, inside)
+        assert many[k].tobytes() == one[0].tobytes()
+
+
 def test_bilinear_sample_exact_on_bilinear_data(grid16):
-    vals = 2.0 + 0.5 * grid16.r[:, None] - 0.25 * grid16.z[None, :]
+    fld = AxisymField.zeros(grid16)
+    fld.vz[:] = 2.0 + 0.5 * grid16.r[:, None] - 0.25 * grid16.z[None, :]
     rng = np.random.default_rng(5)
     r = rng.uniform(0.0, grid16.r_max, 100)
     z = rng.uniform(grid16.z_min, grid16.z_max, 100)
-    got = bilinear_sample(grid16, vals, r, z)
+    got = _sample(fld, np.stack([r, np.zeros(100), z], axis=1))[:, 2]
     np.testing.assert_allclose(got, 2.0 + 0.5 * r - 0.25 * z, atol=1e-12)
 
 
