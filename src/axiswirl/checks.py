@@ -1,9 +1,11 @@
-"""Executable property suite: every falsifiable bound the run must respect.
+"""Every check of ``validate``: the a-priori bounds, the zoom and the convergence study.
 
-Each check returns a report dict carrying the measured value, the bound and
-the margin; ``run_invariant_suite`` aggregates them and the CLI exits nonzero
-on any violation.  The checks of the a-priori bounds read the per-step series
-that the run's ``DiagnosticsRecord``s measured; only the zoom check needs states.
+Each check returns one report shape, built by ``_report``: the name, the
+verdict, the measured value, the bound, the margin bound - measured and any
+named extras.  A report passes only when measured <= bound, so a passing
+report never shows a negative margin.  The checks of the a-priori bounds read
+the per-step series that the run's ``DiagnosticsRecord``s measured; only the
+zoom check needs states, and the convergence study makes its own runs.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .fields import AxisymField, SnapshotHistory, make_grid, max_speed
+from .initial import lamb_oseen_field, lamb_oseen_profile, n0_norms
 from .solver import AxisymSolver, DiagnosticsRecord, SolverConfig
 
 # bound on max|lam*u - u_zoom| / (lam*sup|u|) over the compared steps: the
@@ -24,6 +27,8 @@ ENERGY_TOL = 1e-8
 MAX_PRINCIPLE_TOL = 1e-6
 # the divergence bound, in units of the solver's projection_tol
 DIVERGENCE_FACTOR = 10.0
+# relative slack of the N0 bounds on the data and of the short-time bound 2 N0
+ROUNDOFF_TOL = 1e-12
 
 
 @dataclass
@@ -35,81 +40,66 @@ class InvariantConfig:
             raise ValueError("h0 must be positive")
 
 
-def _series_nonincreasing(values: np.ndarray, rel_tol: float) -> tuple[bool, float]:
-    """Check per-step monotone decrease within a relative tolerance.
+def _report(name: str, measured: float, bound: float, ok: bool = True, **extras) -> dict:
+    """The one report shape; it passes when ``ok`` holds and measured <= bound."""
+    measured, bound = float(measured), float(bound)
+    return {"name": name, "pass": bool(ok) and measured <= bound, "measured": measured,
+            "bound": bound, "margin": bound - measured, **extras}
 
-    Returns (ok, worst relative increase)."""
-    worst = 0.0
+
+def report_line(rep: dict) -> str:
+    """``name: measured=.. bound=.. margin=..[ extra=..] PASS|FAIL``: the extras are
+    the keys after ``_report``'s five, and a list extra prints comma-separated."""
+    extras = "".join(
+        f" {key}=" + (",".join(f"{v:.6g}" for v in value) if isinstance(value, list)
+                      else f"{value:.6g}")
+        for key, value in list(rep.items())[5:])
+    return (f"{rep['name']}: measured={rep['measured']:.6g} bound={rep['bound']:.6g} "
+            f"margin={rep['margin']:.3g}{extras} {'PASS' if rep['pass'] else 'FAIL'}")
+
+
+def _worst_increase(values: np.ndarray) -> float:
+    """Largest step-to-step increase of a series, relative to its sup |value|; 0 if none."""
     scale = float(np.max(np.abs(values))) or 1.0
-    for a, b in zip(values[:-1], values[1:]):
-        inc = (b - a) / scale
-        worst = max(worst, inc)
-    return worst <= rel_tol, worst
+    return float(np.max(np.diff(values) / scale, initial=0.0))
+
+
+def check_n0_bounds(fld: AxisymField, n0: float) -> dict:
+    """The data's sup |v|, weighted L2 norm and sup r|v|, the largest against N0."""
+    sup, l2, rsup = n0_norms(fld)
+    return _report("n0_bounds", max(sup, l2, rsup), n0 * (1 + ROUNDOFF_TOL),
+                   sup=sup, l2=l2, rsup=rsup)
 
 
 def check_max_principle(rvtheta: ArrayLike, n0: float) -> dict:
     """sup r|vtheta| (per step) stays below N0 and is non-increasing along the run."""
     vals = np.asarray(rvtheta, dtype=float)
-    below = bool(np.all(vals <= n0 * (1 + MAX_PRINCIPLE_TOL)))
-    mono, worst_inc = _series_nonincreasing(vals, MAX_PRINCIPLE_TOL)
-    return {
-        "name": "max_principle",
-        "pass": below and mono,
-        "measured": float(vals.max(initial=0.0)),
-        "bound": n0,
-        "margin": n0 - float(vals.max(initial=0.0)),
-        "worst_step_increase": worst_inc,
-        "series": vals,
-    }
+    worst_inc = _worst_increase(vals)
+    return _report("max_principle", vals.max(initial=0.0), n0 * (1 + MAX_PRINCIPLE_TOL),
+                   ok=worst_inc <= MAX_PRINCIPLE_TOL, worst_step_increase=worst_inc)
 
 
 def check_short_time_bound(times: ArrayLike, q: ArrayLike, n0: float, h0: float) -> dict:
-    """sup of Q(t) for t <= h0 against 2 N0, plus the empirical largest such h0."""
+    """sup of Q(t) for t <= h0 against 2 N0; ``empirical_h0`` is the first time
+    Q exceeds 2 N0, or the last time if it never does."""
     times = np.asarray(times, dtype=float)
     qs = np.asarray(q, dtype=float)
-    in_window = times <= h0 + 1e-14
-    sup_q = float(qs[in_window].max(initial=0.0))
-    ok = sup_q <= 2 * n0 * (1 + 1e-12)
+    sup_q = qs[times <= h0 + 1e-14].max(initial=0.0)
     violating = times[qs > 2 * n0]
     empirical_h0 = float(times[-1]) if len(violating) == 0 else float(violating[0])
-    return {
-        "name": "short_time_bound",
-        "pass": ok,
-        "measured": sup_q,
-        "bound": 2 * n0,
-        "margin": 2 * n0 - sup_q,
-        "h0": h0,
-        "empirical_h0": empirical_h0,
-    }
+    return _report("short_time_bound", sup_q, 2 * n0 * (1 + ROUNDOFF_TOL),
+                   empirical_h0=empirical_h0)
 
 
 def check_energy(energy: ArrayLike) -> dict:
     """Cylindrically weighted kinetic energy (per step) is non-increasing."""
-    energies = np.asarray(energy, dtype=float)
-    ok, worst_inc = _series_nonincreasing(energies, ENERGY_TOL)
-    return {
-        "name": "energy",
-        "pass": ok,
-        "measured": worst_inc,
-        "bound": ENERGY_TOL,
-        "margin": ENERGY_TOL - worst_inc,
-        "series": energies,
-    }
+    return _report("energy", _worst_increase(np.asarray(energy, dtype=float)), ENERGY_TOL)
 
 
 def check_divergence(max_divergence: ArrayLike, projection_tol: float) -> dict:
     """Sup-norm discrete divergence (per step) against DIVERGENCE_FACTOR*projection_tol."""
     sups = np.asarray(max_divergence, dtype=float)
-    bound = DIVERGENCE_FACTOR * projection_tol
-    worst = float(sups.max(initial=0.0))
-    return {
-        "name": "divergence",
-        "pass": worst <= bound,
-        "measured": worst,
-        "bound": bound,
-        "margin": bound - worst,
-        "series": sups,
-    }
+    return _report("divergence", sups.max(initial=0.0), DIVERGENCE_FACTOR * projection_tol)
 
 
 def check_scaling_covariance(history: SnapshotHistory, solver: SolverConfig,
@@ -139,15 +129,8 @@ def check_scaling_covariance(history: SnapshotHistory, solver: SolverConfig,
             diff = np.max(np.abs(lam * getattr(f, name) - getattr(zoom.state, name)))
             worst = max(worst, float(diff))
         scale = max(scale, lam * max_speed(f)[0])
-    measured = worst / scale if scale > 0 else 0.0
-    return {
-        "name": "scaling_covariance",
-        "pass": measured <= ZOOM_TOL,
-        "measured": measured,
-        "bound": ZOOM_TOL,
-        "margin": ZOOM_TOL - measured,
-        "steps": len(snaps) - 1,
-    }
+    return _report("scaling_covariance", worst / scale if scale > 0 else 0.0, ZOOM_TOL,
+                   steps=len(snaps) - 1)
 
 
 def run_invariant_suite(rows: list[DiagnosticsRecord], first: SnapshotHistory, n0: float,
@@ -166,3 +149,33 @@ def run_invariant_suite(rows: list[DiagnosticsRecord], first: SnapshotHistory, n
     if len(first) >= 2:
         reports.append(check_scaling_covariance(first, solver))
     return reports
+
+
+def lamb_oseen_run(nr: int, nz: int, t_end: float, r_max: float = 8.0, z_half: float = 8.0,
+                   snapshot_every: int = 1, projection_tol: float = SolverConfig.projection_tol,
+                   history: SnapshotHistory | None = None) -> tuple[AxisymSolver, float]:
+    """Evolve the analytic pure-swirl profile (circulation 1 and viscosity 1,
+    from t = 0.5) and return (solver, Linf error).
+
+    The far-field boundary holds the initial values: the profile decays like
+    1/r, so the held values differ from the exact later-time solution by an
+    exponentially small amount.  ``history``, if given, receives the initial
+    state and every ``snapshot_every``-th step; otherwise nothing is kept.
+    """
+    grid = make_grid(nr, nz, r_max, -z_half, z_half)
+    cfg = SolverConfig(mu=1.0, cfl=0.4, t_end=t_end, projection_tol=projection_tol,
+                       snapshot_every=snapshot_every, boundary="hold")
+    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, grid), cfg)
+    if history is not None:
+        history.record(solver)
+    solver.run(t_end, on_snapshot=history.record if history is not None else None)
+    exact = lamb_oseen_profile(grid.r, 1.0, 1.0, 0.5 + solver.t)
+    return solver, float(np.max(np.abs(solver.state.vtheta - exact[:, None])))
+
+
+def lamb_oseen_convergence(n: int = 32, t_end: float = 0.1) -> dict:
+    """Second order against the analytic pure-swirl vortex: the ratio of the
+    errors at n^2 and (2n)^2 lies within 1 of 4."""
+    errors = [lamb_oseen_run(m, m, t_end)[1] for m in (n, 2 * n)]
+    ratio = errors[0] / errors[1]
+    return _report("lamb_oseen_convergence", abs(ratio - 4.0), 1.0, ratio=ratio, errors=errors)

@@ -7,26 +7,28 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .checks import run_invariant_suite
+from .checks import (
+    check_n0_bounds,
+    lamb_oseen_convergence,
+    report_line,
+    run_invariant_suite,
+)
 from .config import (
     ConfigError,
     RunConfig,
-    apply_override,
-    check_consistency,
     parse_config,
     serialize_config,
+    sweep_members,
 )
 from .fields import SnapshotHistory, make_grid, read_snapshot, write_snapshot
-from .initial import check_n0_bounds, generate
+from .initial import generate
 from .microscope import microscope_report, write_cube
 from .solver import AxisymSolver, PoissonError, UnstableError
-from .validation import lamb_oseen_convergence
 
 # the fields of solver.DiagnosticsRecord, in order
 DIAG_COLUMNS = (
@@ -133,14 +135,10 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
 def run_validate(cfg: RunConfig) -> int:
     grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
     initial = generate(cfg.data, grid)
-    bounds = check_n0_bounds(initial, cfg.data.n0)
-    print(f"n0_bounds: sup={bounds['sup']:.6g} l2={bounds['l2']:.6g} "
-          f"rsup={bounds['rsup']:.6g} n0={bounds['n0']:.6g} "
-          f"{'PASS' if bounds['pass'] else 'FAIL'}")
-    ok = bounds["pass"]
+    n0_report = check_n0_bounds(initial, cfg.data.n0)
 
     # the convergence study first: its solvers are freed before the run builds its own
-    conv = lamb_oseen_convergence((32, 64), t_end=0.1)
+    conv = lamb_oseen_convergence()
 
     # the suite checks every step's diagnostics, whatever the snapshot cadence
     # (its tolerances are per step); the zoom check needs the first three states
@@ -153,42 +151,26 @@ def run_validate(cfg: RunConfig) -> int:
             first.record(s)
 
     solver.run(cfg.solver.t_end, on_snapshot=keep_first, on_diagnostics=rows.append)
-    reports = run_invariant_suite(rows, first, cfg.data.n0, cfg.invariants, cfg.solver)
+    reports = [n0_report, *run_invariant_suite(rows, first, cfg.data.n0, cfg.invariants,
+                                               cfg.solver), conv]
     for rep in reports:
-        print(f"{rep['name']}: measured={rep['measured']:.6g} bound={rep['bound']:.6g} "
-              f"margin={rep['margin']:.3g} {'PASS' if rep['pass'] else 'FAIL'}")
-        ok = ok and rep["pass"]
-        if rep["name"] == "short_time_bound":
-            print(f"  empirical_h0={rep['empirical_h0']:.6g}")
-
-    ratio = conv["ratios"][0]
-    conv_ok = 3.0 <= ratio <= 5.0
-    print(f"lamb_oseen_convergence: errors={['%.3e' % e for e in conv['errors']]} "
-          f"ratio={ratio:.3f} {'PASS' if conv_ok else 'FAIL'}")
-    ok = ok and conv_ok
-    return 0 if ok else 3
+        print(report_line(rep))
+    return 0 if all(rep["pass"] for rep in reports) else 3
 
 
 def run_sweep(cfg: RunConfig) -> int:
     if not cfg.sweep:
         raise ConfigError("sweep: no sweep section in config")
     keys = sorted(cfg.sweep)
-    combos = list(itertools.product(*(cfg.sweep[k] for k in keys)))
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = outdir / "sweep_summary.csv"
     with open(summary, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(["run"] + keys + list(DIAG_COLUMNS)) + "\n")
-        for k, combo in enumerate(combos):
-            sub = cfg
-            for key, value in zip(keys, combo):
-                sub = apply_override(sub, key, value)
+        for k, (combo, sub) in enumerate(sweep_members(cfg)):
             subdir = outdir / f"sweep_{k:04d}"
-            sub = dataclasses.replace(
-                sub, output=dataclasses.replace(sub.output, directory=str(subdir))
-            )
-            check_consistency(sub)
-            run_simulate(sub)
+            run_simulate(dataclasses.replace(
+                sub, output=dataclasses.replace(sub.output, directory=str(subdir))))
             last = Path(subdir, "diagnostics.csv").read_text(encoding="utf-8").strip()
             last_row = last.splitlines()[-1]
             fh.write(",".join([str(k)] + [_fmt(v) for v in combo]) + "," + last_row + "\n")

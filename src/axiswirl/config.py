@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -99,7 +100,9 @@ def _build_section(cls, data: dict, path: str):
     try:
         return cls(**kwargs)
     except (ValueError, TypeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        # a message that starts with a field's name reads as that field's path
+        sep = "." if str(exc).split(" ", 1)[0] in known else ": "
+        raise ConfigError(f"{path}{sep}{exc}") from exc
 
 
 def parse_config(text: str) -> RunConfig:
@@ -129,7 +132,26 @@ def parse_config(text: str) -> RunConfig:
         kwargs[key] = _build_section(_SECTIONS[key], value, key)
     cfg = RunConfig(**kwargs)
     check_consistency(cfg)
+    sweep_members(cfg)
     return cfg
+
+
+def sweep_members(cfg: RunConfig) -> list[tuple[tuple, RunConfig]]:
+    """Every member of cfg's sweep with its values, in run order: the Cartesian
+    product of the swept lists over the sorted keys.  Each member is checked
+    like a YAML config, so parse_config finds a bad value before any member runs."""
+    keys = sorted(cfg.sweep)
+    members = []
+    for combo in itertools.product(*(cfg.sweep[k] for k in keys)):
+        sub = cfg
+        for key, value in zip(keys, combo):
+            try:
+                sub = apply_override(sub, key, value)
+            except ConfigError as exc:
+                raise ConfigError(f"sweep.{key} = {value!r}: {exc}") from exc
+        check_consistency(sub)
+        members.append((combo, sub))
+    return members
 
 
 def check_consistency(cfg: RunConfig) -> None:
@@ -152,14 +174,10 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def apply_override(cfg: RunConfig, path: str, value: Any) -> RunConfig:
-    """Return a copy of cfg with one dotted-path field replaced (sweep support)."""
+    """Return a copy of cfg with one dotted-path field replaced (sweep support);
+    the section is rebuilt, so the value is coerced and checked as in YAML."""
     section, _, key = path.partition(".")
     if section not in _SECTIONS or not key:
         raise ConfigError(f"bad override path {path!r}")
-    current = getattr(cfg, section)
-    known = {f.name: f for f in dataclasses.fields(current)}
-    if key not in known:
-        raise ConfigError(f"unknown key {path}")
-    value = _coerce(value, known[key].type, path)
-    new_section = dataclasses.replace(current, **{key: value})
-    return dataclasses.replace(cfg, **{section: new_section})
+    data = {**dataclasses.asdict(getattr(cfg, section)), key: value}
+    return dataclasses.replace(cfg, **{section: _build_section(_SECTIONS[section], data, section)})

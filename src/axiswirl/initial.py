@@ -100,19 +100,6 @@ def _scaled_to_n0(fld: AxisymField, n0: float) -> AxisymField:
     return fld
 
 
-def check_n0_bounds(fld: AxisymField, n0: float) -> dict:
-    """Report the three initial-bound numbers and pass/fail against n0."""
-    sup, l2, rsup = n0_norms(fld)
-    ok = sup <= n0 * (1 + 1e-12) and l2 <= n0 * (1 + 1e-12) and rsup <= n0 * (1 + 1e-12)
-    return {
-        "sup": sup,
-        "l2": l2,
-        "rsup": rsup,
-        "n0": n0,
-        "pass": ok,
-    }
-
-
 def vortex_ring_swirl(spec: DataSpec, grid: Grid) -> AxisymField:
     """Swirling vortex-ring data rescaled so the three bounds hold with spec.n0."""
     if spec.ring_r <= 3 * spec.core_radius:

@@ -68,6 +68,9 @@ class SolverConfig:
             raise ValueError(f"viscosity must be positive, got {self.mu}")
         if (self.dt is None) == (self.cfl is None):
             raise ValueError("exactly one of dt / cfl must be given")
+        name, step = ("cfl", self.cfl) if self.dt is None else ("dt", self.dt)
+        if not step > 0:
+            raise ValueError(f"{name} must be positive, got {step}")
         if not (0 < self.projection_tol <= 1e-4):
             raise ValueError(f"projection_tol must lie in (0, 1e-4], got {self.projection_tol}")
         if self.boundary not in ("dirichlet0", "hold"):
@@ -229,7 +232,7 @@ class ProjectionOperator:
     the divergence matrix; the diagnostics apply it too.
     """
 
-    def __init__(self, grid: Grid, tol: float = 1e-10):
+    def __init__(self, grid: Grid, tol: float = SolverConfig.projection_tol):
         self.grid = grid
         self.tol = tol
         nz = grid.nz

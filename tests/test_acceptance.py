@@ -17,6 +17,7 @@ from axiswirl.checks import (
     check_max_principle,
     check_scaling_covariance,
     check_short_time_bound,
+    lamb_oseen_run,
 )
 from axiswirl.cli import main
 from axiswirl.config import parse_config
@@ -30,7 +31,6 @@ from axiswirl.microscope import (
     rescale_history,
 )
 from axiswirl.solver import AxisymSolver, SolverConfig
-from axiswirl.validation import lamb_oseen_run
 
 from conftest import lamb_oseen_peak, run_outputs
 

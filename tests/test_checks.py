@@ -15,6 +15,7 @@ from axiswirl.checks import (
     check_max_principle,
     check_scaling_covariance,
     check_short_time_bound,
+    lamb_oseen_convergence,
     run_invariant_suite,
 )
 from axiswirl.config import parse_config
@@ -109,9 +110,10 @@ def test_short_time_bound_never_violated_reports_last_time(grid16):
 
 def test_energy_nonincreasing_passes(grid16):
     fields = [_swirl(grid16, a) for a in (1.0, 0.9, 0.9)]
-    rep = check_energy([kinetic_energy(f) for f in fields])
+    e = [kinetic_energy(f) for f in fields]
+    rep = check_energy(e)
     assert rep["pass"]
-    assert np.all(np.diff(rep["series"]) <= 0.0)
+    assert np.all(np.diff(e) <= 0.0)
 
 
 def test_energy_growth_fails(grid16):
@@ -232,3 +234,33 @@ def test_run_invariant_suite_names_and_gating(grid16):
     reports = run_invariant_suite(rows, hist, 10.0, InvariantConfig(), SolverConfig(cfl=0.4))
     assert [r["name"] for r in reports] == names + ["scaling_covariance"]
     assert all(r["pass"] for r in reports)
+
+
+def test_every_report_has_one_shape_and_a_pass_never_has_a_negative_margin(grid16):
+    # sup r|vtheta| above N0 but within the per-step slack passes, and its
+    # margin is taken against the slackened bound, so it reads >= 0
+    reports = [
+        check_max_principle([1.0 + 5e-7], n0=1.0),
+        check_max_principle([1.0, 1.1], n0=10.0),
+        check_short_time_bound([0.0, 0.1], [2.0, 2.0], n0=1.0, h0=0.1),
+        check_energy([1.0, 1.0]),
+        check_divergence([2e-9], projection_tol=1e-10),
+    ]
+    for rep in reports:
+        assert list(rep)[:5] == ["name", "pass", "measured", "bound", "margin"]
+        assert rep["margin"] == rep["bound"] - rep["measured"]
+        assert rep["margin"] >= 0 or not rep["pass"], rep
+    assert [rep["pass"] for rep in reports] == [True, False, True, True, False]
+
+
+@pytest.mark.parametrize("ratio, ok", [(4.0, True), (3.0, True), (5.0, True), (2.0, False),
+                                       (5.5, False)])
+def test_lamb_oseen_convergence_passes_only_within_one_of_four(monkeypatch, ratio, ok):
+    errors = {32: ratio * 1e-5, 64: 1e-5}
+    monkeypatch.setattr(axiswirl.checks, "lamb_oseen_run",
+                        lambda nr, nz, t_end: (None, errors[nr]))
+    rep = lamb_oseen_convergence(32, t_end=0.1)
+    assert rep["pass"] is ok
+    assert rep["ratio"] == pytest.approx(ratio)
+    assert rep["errors"] == [errors[32], errors[64]]
+    assert rep["measured"] == pytest.approx(abs(ratio - 4.0)) and rep["bound"] == 1.0

@@ -1,4 +1,5 @@
 """End-to-end tests of the command-line driver."""
+import re
 import sys
 from pathlib import Path
 
@@ -502,3 +503,64 @@ def test_lamb_oseen_nu_must_equal_solver_mu(tmp_path, capsys):
     )
     assert main(["simulate", "--config", cfg]) == 1
     assert "data.nu" in capsys.readouterr().err
+
+
+# every line validate prints: one report, its measured value, bound, margin,
+# any named extras, and the verdict
+REPORT_LINE = re.compile(r"(\w+): measured=(\S+) bound=(\S+) margin=(\S+)(?: \w+=\S+)* (PASS|FAIL)")
+
+
+def _validate_lines(capsys):
+    lines = capsys.readouterr().out.splitlines()
+    matches = [REPORT_LINE.fullmatch(line) for line in lines]
+    assert all(matches), lines
+    return matches
+
+
+def test_validate_prints_one_line_per_report_in_order(tmp_path, capsys):
+    assert main(["validate", "--config", _small_ring_config(tmp_path, tmp_path / "out")]) == 0
+    matches = _validate_lines(capsys)
+    assert tuple(m[1] for m in matches) == verify.VALIDATE_REPORTS
+    assert all(m[5] == "PASS" and float(m[4]) >= 0 for m in matches)
+
+
+def test_validate_exits_3_when_the_data_break_n0(tmp_path, capsys):
+    # Lamb-Oseen data are not rescaled to n0: their weighted L2 norm (2.1)
+    # and sup r|v| (0.16) both exceed n0 = 0.1
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 8.0\n  z_min: -8.0\n  z_max: 8.0\n"
+        "solver:\n  cfl: 0.4\n  t_end: 0.02\n  boundary: hold\n"
+        "data:\n  kind: lamb_oseen\n  n0: 0.1\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
+    )
+    assert main(["validate", "--config", cfg]) == 3
+    verdicts = {m[1]: m[5] for m in _validate_lines(capsys)}
+    assert list(verdicts) == list(verify.VALIDATE_REPORTS)
+    assert verdicts["n0_bounds"] == verdicts["max_principle"] == "FAIL"
+
+
+@pytest.mark.parametrize("key, value", [("cfl", 0), ("cfl", -0.4), ("dt", 0), ("dt", -0.01)])
+def test_a_step_that_is_not_positive_is_a_config_error(tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "run.yaml",
+                 f"grid:\n  nr: 16\n  nz: 16\nsolver:\n  {key}: {value}\n"
+                 f"output:\n  directory: {out}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert f"solver.{key} must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bad_sweep_value_stops_the_sweep_before_any_member_runs(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n"
+        "solver:\n  dt: 1e-3\n  t_end: 2e-3\n"
+        f"output:\n  directory: {out}\n"
+        "sweep:\n  solver.snapshot_every: [1, 0]\n",
+    )
+    assert main(["sweep", "--config", cfg]) == 1
+    assert "sweep.solver.snapshot_every" in capsys.readouterr().err
+    assert not (out / "sweep_0000").exists()
+    assert not out.exists()

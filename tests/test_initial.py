@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
+from axiswirl.checks import check_n0_bounds
 from axiswirl.fields import make_grid
 from axiswirl.initial import (
     DataSpec,
-    check_n0_bounds,
     generate,
     lamb_oseen_field,
     lamb_oseen_profile,

@@ -8,7 +8,12 @@ import pytest
 import scipy.sparse as sp
 
 import axiswirl.solver
-from axiswirl.checks import InvariantConfig, run_invariant_suite
+from axiswirl.checks import (
+    InvariantConfig,
+    lamb_oseen_convergence,
+    lamb_oseen_run,
+    run_invariant_suite,
+)
 from axiswirl.config import parse_config
 from axiswirl.fields import (
     AxisymField,
@@ -35,7 +40,6 @@ from axiswirl.solver import (
     upwind_split,
     volume_weights,
 )
-from axiswirl.validation import lamb_oseen_convergence, lamb_oseen_run
 
 from conftest import rigid_rotation
 
@@ -684,8 +688,9 @@ def test_fixed_dt_above_stability_rejected(grid16):
 
 
 def test_step_lamb_oseen_convergence_small():
-    conv = lamb_oseen_convergence((32, 64), t_end=0.1)
-    assert 3.0 < conv["ratios"][0] < 5.0
+    rep = lamb_oseen_convergence(32, t_end=0.1)
+    assert rep["pass"]
+    assert 3.0 < rep["ratio"] < 5.0
 
 
 def test_step_energy_decays():
