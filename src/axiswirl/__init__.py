@@ -3,9 +3,7 @@
 from .fields import (
     AxisymField,
     Grid,
-    ScalarField,
     SnapshotHistory,
-    make_grid,
     max_rspeed,
     max_speed,
 )
@@ -21,12 +19,10 @@ __all__ = [
     "AxisymField",
     "AxisymSolver",
     "Grid",
-    "ScalarField",
     "SnapshotHistory",
     "SolverConfig",
     "build_divergence_matrix",
     "divergence",
-    "make_grid",
     "max_rspeed",
     "max_speed",
     "momentum_rhs",

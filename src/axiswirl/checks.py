@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .fields import AxisymField, SnapshotHistory, make_grid, max_speed
+from .fields import AxisymField, Grid, SnapshotHistory, max_speed
 from .initial import lamb_oseen_field, lamb_oseen_profile, n0_norms
 from .solver import AxisymSolver, DiagnosticsRecord, SolverConfig
 
@@ -117,7 +117,7 @@ def check_scaling_covariance(history: SnapshotHistory, solver: SolverConfig,
     """
     snaps = history.snapshots[:3]
     g = snaps[0].field.grid
-    zoom_grid = make_grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
+    zoom_grid = Grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
     u0 = snaps[0].field
     zoom = AxisymSolver(AxisymField(zoom_grid, lam * u0.vr, lam * u0.vtheta, lam * u0.vz),
                         solver)
@@ -162,7 +162,7 @@ def lamb_oseen_run(nr: int, nz: int, t_end: float, r_max: float = 8.0, z_half: f
     exponentially small amount.  ``history``, if given, receives the initial
     state and every ``snapshot_every``-th step; otherwise nothing is kept.
     """
-    grid = make_grid(nr, nz, r_max, -z_half, z_half)
+    grid = Grid(nr, nz, r_max, -z_half, z_half)
     cfg = SolverConfig(mu=1.0, cfl=0.4, t_end=t_end, projection_tol=projection_tol,
                        snapshot_every=snapshot_every, boundary="hold")
     solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, grid), cfg)

@@ -25,16 +25,14 @@ from .config import (
     serialize_config,
     sweep_members,
 )
-from .fields import SnapshotHistory, make_grid, read_snapshot, write_snapshot
+from .fields import SnapshotHistory, read_snapshot, write_snapshot
 from .initial import generate
 from .microscope import microscope_report, write_cube
-from .solver import AxisymSolver, PoissonError, UnstableError
+from .solver import AxisymSolver, DiagnosticsRecord, PoissonError, UnstableError
 
-# the fields of solver.DiagnosticsRecord, in order
-DIAG_COLUMNS = (
-    "step", "t", "Q", "argmax_r", "argmax_z", "R", "max_rvtheta",
-    "energy", "max_divergence", "boundary_max",
-)
+# the fields of solver.DiagnosticsRecord, in order, with q and r_speed headed Q and R
+DIAG_COLUMNS = tuple({"q": "Q", "r_speed": "R"}.get(f.name, f.name)
+                     for f in dataclasses.fields(DiagnosticsRecord))
 MICRO_COLUMNS = (
     "mode", "t0", "r0", "z0", "Q", "alpha", "beta", "ratio", "L",
     "sup_dist", "grad_sup", "hess_sup", "dt_sup", "holder", "total",
@@ -59,7 +57,6 @@ def _snapshot_paths(directory: Path) -> list[Path]:
 def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
-    grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
 
     # snapshots and diagnostics go to disk as the solver reports them; a fresh
     # run first removes the snapshots of any earlier run in its directory
@@ -72,7 +69,7 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
         step0 = int(existing[-1].stem.split("_")[1])
         solver = AxisymSolver(fld, cfg.solver, t0=t0, step0=step0)
     else:
-        solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
+        solver = AxisymSolver(generate(cfg.data, cfg.grid), cfg.solver)
         (outdir / "config.yaml").write_text(serialize_config(cfg), encoding="utf-8")
 
     diag_path = outdir / "diagnostics.csv"
@@ -133,8 +130,7 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
 
 
 def run_validate(cfg: RunConfig) -> int:
-    grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
-    initial = generate(cfg.data, grid)
+    initial = generate(cfg.data, cfg.grid)
     n0_report = check_n0_bounds(initial, cfg.data.n0)
 
     # the convergence study first: its solvers are freed before the run builds its own

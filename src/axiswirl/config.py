@@ -4,11 +4,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, get_type_hints
 
 import yaml
 
 from .checks import InvariantConfig
+from .fields import Grid
 from .initial import DataSpec
 from .microscope import MicroscopeConfig
 from .solver import SolverConfig
@@ -23,22 +24,13 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class GridConfig:
-    nr: int = 64
-    nz: int = 64
-    r_max: float = 4.0
-    z_min: float = -4.0
-    z_max: float = 4.0
-
-
-@dataclass
 class OutputConfig:
     directory: str = "out"
 
 
 @dataclass
 class RunConfig:
-    grid: GridConfig = field(default_factory=GridConfig)
+    grid: Grid = field(default_factory=Grid)
     solver: SolverConfig = field(default_factory=lambda: SolverConfig(cfl=DEFAULT_CFL))
     data: DataSpec = field(default_factory=DataSpec)
     microscope: MicroscopeConfig = field(default_factory=MicroscopeConfig)
@@ -47,14 +39,8 @@ class RunConfig:
     sweep: dict[str, list] = field(default_factory=dict)
 
 
-_SECTIONS = {
-    "grid": GridConfig,
-    "solver": SolverConfig,
-    "data": DataSpec,
-    "microscope": MicroscopeConfig,
-    "invariants": InvariantConfig,
-    "output": OutputConfig,
-}
+# every field of RunConfig but the sweep is a section, built by its dataclass
+_SECTIONS = {name: cls for name, cls in get_type_hints(RunConfig).items() if name != "sweep"}
 
 
 def _coerce(value: Any, typ: Any, path: str) -> Any:
@@ -164,10 +150,7 @@ def check_consistency(cfg: RunConfig) -> None:
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    doc = {}
-    for name, cls in _SECTIONS.items():
-        section = getattr(cfg, name)
-        doc[name] = dataclasses.asdict(section)
+    doc = {name: dataclasses.asdict(getattr(cfg, name)) for name in _SECTIONS}
     if cfg.sweep:
         doc["sweep"] = cfg.sweep
     return yaml.dump(doc, Dumper=getattr(yaml, "CSafeDumper", yaml.SafeDumper), sort_keys=True)

@@ -21,13 +21,22 @@ SNAPSHOT_VERSION = 1
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform node grid: r_i = i*dr for i=0..nr, z_j = z_min + j*dz for j=0..nz."""
+    """Uniform node grid: r_i = i*dr for i=0..nr, z_j = z_min + j*dz for j=0..nz;
+    also the config's ``grid`` section, with its defaults."""
 
-    nr: int
-    nz: int
-    r_max: float
-    z_min: float
-    z_max: float
+    nr: int = 64
+    nz: int = 64
+    r_max: float = 4.0
+    z_min: float = -4.0
+    z_max: float = 4.0
+
+    def __post_init__(self):
+        if self.nr < 8 or self.nz < 8:
+            raise ValueError(f"grid counts too small: nr={self.nr}, nz={self.nz} (minimum 8)")
+        if self.r_max <= 0:
+            raise ValueError(f"r_max must be positive, got {self.r_max}")
+        if self.z_max <= self.z_min:
+            raise ValueError(f"need z_max > z_min, got [{self.z_min}, {self.z_max}]")
 
     @property
     def dr(self) -> float:
@@ -48,27 +57,6 @@ class Grid:
     @property
     def z(self) -> np.ndarray:
         return self.z_min + np.arange(self.nz + 1) * self.dz
-
-
-def make_grid(nr: int, nz: int, r_max: float, z_min: float, z_max: float) -> Grid:
-    if nr < 8 or nz < 8:
-        raise ValueError(f"grid counts too small: nr={nr}, nz={nz} (minimum 8)")
-    if r_max <= 0:
-        raise ValueError(f"r_max must be positive, got {r_max}")
-    if z_max <= z_min:
-        raise ValueError(f"need z_max > z_min, got [{z_min}, {z_max}]")
-    return Grid(int(nr), int(nz), float(r_max), float(z_min), float(z_max))
-
-
-@dataclass
-class ScalarField:
-    """Scalar nodal data (pressure, stream function or generic)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def copy(self) -> "ScalarField":
-        return ScalarField(self.grid, self.values.copy())
 
 
 @dataclass
@@ -102,7 +90,7 @@ class AxisymField:
 class Snapshot:
     t: float
     field: AxisymField
-    pressure: ScalarField
+    pressure: np.ndarray  # (nr+1, nz+1) nodal values
 
 
 @dataclass
@@ -111,7 +99,7 @@ class SnapshotHistory:
 
     snapshots: list[Snapshot] = field(default_factory=list)
 
-    def push(self, t: float, fld: AxisymField, pressure: ScalarField) -> None:
+    def push(self, t: float, fld: AxisymField, pressure: np.ndarray) -> None:
         if self.snapshots and t <= self.snapshots[-1].t:
             raise ValueError(f"snapshot times must increase: {t} after {self.snapshots[-1].t}")
         self.snapshots.append(Snapshot(float(t), fld, pressure))
@@ -167,28 +155,19 @@ def sample_cartesian(fields, pts) -> tuple[np.ndarray, np.ndarray]:
     return out, inside
 
 
-def _argmax_lex(weighted: np.ndarray) -> tuple[int, int]:
-    """Index of the maximum, ties broken by smallest r index then smallest z index."""
-    # np.argmax on the C-ordered array already returns the first (smallest i, then j)
-    # occurrence of the maximum, which is exactly the lexicographic tie-break.
-    flat = int(np.argmax(weighted))
-    return np.unravel_index(flat, weighted.shape)  # type: ignore[return-value]
-
-
 def max_speed(fld: AxisymField, speed=None) -> tuple[float, tuple[float, float]]:
-    """Largest |v| over nodes and its (r, z) location; ``speed`` is fld.speed(), if made."""
+    """Largest |v| over nodes and its (r, z) location; ``speed`` is fld.speed(), if made.
+    Ties go to the smallest r index, then the smallest z index: np.argmax on the
+    C-ordered array returns the first occurrence."""
     sp = fld.speed() if speed is None else speed
-    i, j = _argmax_lex(sp)
+    i, j = np.unravel_index(int(np.argmax(sp)), sp.shape)
     g = fld.grid
     return float(sp[i, j]), (float(i * g.dr), float(g.z_min + j * g.dz))
 
 
 def max_rspeed(fld: AxisymField, speed=None) -> tuple[float, tuple[float, float]]:
     """Largest r*|v| over nodes and its (r, z) location; ``speed`` as for max_speed."""
-    sp = (fld.speed() if speed is None else speed) * fld.grid.r[:, None]
-    i, j = _argmax_lex(sp)
-    g = fld.grid
-    return float(sp[i, j]), (float(i * g.dr), float(g.z_min + j * g.dz))
+    return max_speed(fld, (fld.speed() if speed is None else speed) * fld.grid.r[:, None])
 
 
 def max_rvtheta(fld: AxisymField) -> float:
@@ -222,17 +201,17 @@ def write_atomic(path, header: bytes, arrays) -> None:
         raise
 
 
-def write_snapshot(path, t: float, fld: AxisymField, pressure: ScalarField) -> None:
+def write_snapshot(path, t: float, fld: AxisymField, pressure: np.ndarray) -> None:
     """Write a snapshot in the format above, atomically (write_atomic)."""
     g = fld.grid
     header = SNAPSHOT_MAGIC + struct.pack(
         "<I6d", SNAPSHOT_VERSION, float(g.nr), float(g.nz),
         g.r_max, g.z_min, g.z_max, float(t),
     )
-    write_atomic(path, header, (fld.vr, fld.vtheta, fld.vz, pressure.values))
+    write_atomic(path, header, (fld.vr, fld.vtheta, fld.vz, pressure))
 
 
-def read_snapshot(path) -> tuple[float, AxisymField, ScalarField]:
+def read_snapshot(path) -> tuple[float, AxisymField, np.ndarray]:
     with open(path, "rb") as fh:
         got = fh.read(4)
         if got != SNAPSHOT_MAGIC:
@@ -241,7 +220,7 @@ def read_snapshot(path) -> tuple[float, AxisymField, ScalarField]:
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
         nr_f, nz_f, r_max, z_min, z_max, t = struct.unpack("<6d", fh.read(48))
-        grid = make_grid(int(nr_f), int(nz_f), r_max, z_min, z_max)
+        grid = Grid(int(nr_f), int(nz_f), r_max, z_min, z_max)
         n = (grid.nr + 1) * (grid.nz + 1)
         arrs = []
         for _ in range(4):
@@ -249,5 +228,4 @@ def read_snapshot(path) -> tuple[float, AxisymField, ScalarField]:
             if len(buf) != 8 * n:
                 raise ValueError(f"truncated snapshot file {path}")
             arrs.append(np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
-    fld = AxisymField(grid, arrs[0], arrs[1], arrs[2])
-    return t, fld, ScalarField(grid, arrs[3])
+    return t, AxisymField(grid, arrs[0], arrs[1], arrs[2]), arrs[3]

@@ -43,7 +43,6 @@ class DataSpec:
 def lamb_oseen_profile(r: np.ndarray, circulation: float, nu: float, t: float) -> np.ndarray:
     """Swirl speed (circulation/(2 pi r))(1 - exp(-r^2/(4 nu t))); regular at r=0."""
     r = np.asarray(r, dtype=float)
-    out = np.empty_like(r)
     small = r < 1e-8
     rr = np.where(small, 1.0, r)
     out = circulation / (2 * np.pi * rr) * (-np.expm1(-(rr**2) / (4 * nu * t)))
@@ -62,14 +61,10 @@ def lamb_oseen_field(circulation: float, nu: float, t_offset: float, grid: Grid)
     return AxisymField(grid, z.copy(), vtheta, z.copy())
 
 
-def _gaussian_blob(grid: Grid, r_c: float, z_c: float, delta: float) -> np.ndarray:
-    R, Z = np.meshgrid(grid.r, grid.z, indexing="ij")
-    return np.exp(-((R - r_c) ** 2 + (Z - z_c) ** 2) / delta**2)
-
-
 def _ring_meridional(grid: Grid, amp: float, r_c: float, z_c: float,
-                     delta: float) -> tuple[np.ndarray, np.ndarray]:
-    """vr = -(1/r) dPsi/dz, vz = (1/r) dPsi/dr for Psi = amp r^2 exp(-(...)/delta^2).
+                     delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(vr, vz, e): vr = -(1/r) dPsi/dz, vz = (1/r) dPsi/dr for Psi = amp r^2 e,
+    e = exp(-((r - r_c)^2 + (z - z_c)^2)/delta^2) the ring's Gaussian.
 
     Evaluated analytically, so the continuous field is exactly divergence free.
     """
@@ -77,7 +72,7 @@ def _ring_meridional(grid: Grid, amp: float, r_c: float, z_c: float,
     e = np.exp(-((R - r_c) ** 2 + (Z - z_c) ** 2) / delta**2)
     vr = amp * R * e * 2 * (Z - z_c) / delta**2
     vz = amp * e * (2 - 2 * R * (R - r_c) / delta**2)
-    return vr, vz
+    return vr, vz, e
 
 
 def n0_norms(fld: AxisymField) -> tuple[float, float, float]:
@@ -106,12 +101,9 @@ def vortex_ring_swirl(spec: DataSpec, grid: Grid) -> AxisymField:
         raise ValueError(
             f"ring center r={spec.ring_r} must exceed 3x core radius {spec.core_radius}"
         )
-    vr, vz = _ring_meridional(grid, spec.stream_amplitude, spec.ring_r, spec.ring_z,
-                              spec.core_radius)
-    R = grid.r[:, None]
-    vtheta = spec.swirl_amplitude * (R / spec.ring_r) * _gaussian_blob(
-        grid, spec.ring_r, spec.ring_z, spec.core_radius
-    )
+    vr, vz, e = _ring_meridional(grid, spec.stream_amplitude, spec.ring_r, spec.ring_z,
+                                 spec.core_radius)
+    vtheta = spec.swirl_amplitude * (grid.r[:, None] / spec.ring_r) * e
     return _scaled_to_n0(AxisymField(grid, vr, vtheta, vz), spec.n0)
 
 
@@ -128,10 +120,10 @@ def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
         z_c = rng.uniform(grid.z_min + 0.25 * z_span, grid.z_max - 0.25 * z_span)
         delta = rng.uniform(0.08, 0.2) * grid.r_max
         amp = rng.normal()
-        dvr, dvz = _ring_meridional(grid, amp, r_c, z_c, delta)
+        dvr, dvz, e = _ring_meridional(grid, amp, r_c, z_c, delta)
         vr += dvr
         vz += dvz
-        vtheta += rng.normal() * (grid.r[:, None] / r_c) * _gaussian_blob(grid, r_c, z_c, delta)
+        vtheta += rng.normal() * (grid.r[:, None] / r_c) * e
     return _scaled_to_n0(AxisymField(grid, vr, vtheta, vz), spec.n0)
 
 

@@ -29,7 +29,6 @@ import scipy.sparse as sp
 from .fields import (
     AxisymField,
     Grid,
-    ScalarField,
     boundary_max,
     max_rspeed,
     max_rvtheta,
@@ -262,14 +261,14 @@ class ProjectionOperator:
         Vr, Vz = self._Vr, self._Vz
         return (Vr @ ((Vr.T @ r.reshape(self.grid.shape) @ Vz) * self._lam_inv) @ Vz.T).ravel()
 
-    def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, ScalarField]:
-        """(projected field, pressure); a field whose divergence has 2-norm
+    def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, np.ndarray]:
+        """(projected field, nodal pressure); a field whose divergence has 2-norm
         below ``tol`` comes back bit for bit."""
         g = self.grid
         div = divergence(self.D, u_star).ravel()
         div_norm = float(np.linalg.norm(div))
         if div_norm < self.tol:
-            return u_star.copy(), ScalarField(g, np.zeros(g.shape))
+            return u_star.copy(), np.zeros(g.shape)
         s = self._inverse(div / dt)
         grad = np.divide(self.D.T @ s, self._wu, out=np.zeros(2 * self._npts), where=self._mask)
         out = AxisymField(g, u_star.vr - dt * grad[: self._npts].reshape(g.shape),
@@ -281,8 +280,7 @@ class ProjectionOperator:
                 f"(residual {left / div_norm:.3e})",
                 left / div_norm,
             )
-        p = ScalarField(g, (-s / self._wp).reshape(g.shape))
-        return out, p
+        return out, (-s / self._wp).reshape(g.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +425,7 @@ class AxisymSolver:
         self.step_count = step0
         self.projection = ProjectionOperator(self.grid, tol=config.projection_tol)
         self.helmholtz = HelmholtzSolver(self.grid, neumann_swirl=config.boundary == "hold")
-        self.pressure = ScalarField(self.grid, np.zeros(self.grid.shape))
+        self.pressure = np.zeros(self.grid.shape)
         self._held = None
         if config.boundary == "hold":
             # per component: the r = r_max row and the z_min and z_max columns

@@ -4,18 +4,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from axiswirl.fields import AxisymField, make_grid
+from axiswirl.fields import AxisymField, Grid
 from axiswirl.initial import DataSpec, generate, lamb_oseen_profile
 
 
 @pytest.fixture
 def grid16():
-    return make_grid(16, 16, 2.0, -1.0, 1.0)
+    return Grid(16, 16, 2.0, -1.0, 1.0)
 
 
 @pytest.fixture
 def grid32():
-    return make_grid(32, 32, 4.0, -4.0, 4.0)
+    return Grid(32, 32, 4.0, -4.0, 4.0)
 
 
 @pytest.fixture

@@ -21,7 +21,7 @@ from axiswirl.checks import (
 )
 from axiswirl.cli import main
 from axiswirl.config import parse_config
-from axiswirl.fields import ScalarField, SnapshotHistory, AxisymField, make_grid
+from axiswirl.fields import SnapshotHistory, AxisymField, Grid
 from axiswirl.initial import DataSpec, generate
 from axiswirl.microscope import (
     MicroscopeConfig,
@@ -66,7 +66,7 @@ def lamb_oseen_runs():
 def ring_run():
     """Swirling vortex ring with N0=1 at 128^2 run to t=1: the diagnostics of
     every step and the first three states."""
-    grid = make_grid(128, 128, 4.0, -4.0, 4.0)
+    grid = Grid(128, 128, 4.0, -4.0, 4.0)
     initial = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), grid)
     solver = AxisymSolver(initial, RING_CFG)
     rows, first = [solver.record_diagnostics()], SnapshotHistory()
@@ -90,7 +90,7 @@ def trend_runs():
     cfg_m = MicroscopeConfig(sigma0=8.0)
     runs = []
     for s in (2.5, 6.25, 15.625):
-        grid = make_grid(64, 64, 4.0, -4.0, 4.0)
+        grid = Grid(64, 64, 4.0, -4.0, 4.0)
         spec = DataSpec(
             kind="vortex_ring_swirl",
             n0=8.0 * s,
@@ -183,11 +183,11 @@ def test_cube_centers_normalized(trend_runs):
     in_band = (centers >= 0.9999) & (centers <= 1.0001)
 
     # a constant velocity field zooms to an exactly constant cube
-    grid = make_grid(32, 32, 4.0, -4.0, 4.0)
+    grid = Grid(32, 32, 4.0, -4.0, 4.0)
     fld = AxisymField.zeros(grid)
     fld.vz = 0.7 * np.ones(grid.shape)
     hist = SnapshotHistory()
-    p = ScalarField(grid, np.zeros(grid.shape))
+    p = np.zeros(grid.shape)
     for t in (0.0, 0.3, 0.6):
         hist.push(t, fld.copy(), p)
     cfg = MicroscopeConfig(sigma0=8.0)
@@ -239,9 +239,7 @@ def test_short_time_bound_on_shipped_configs():
     ok = True
     for path in paths:
         cfg = parse_config(path.read_text(encoding="utf-8"))
-        grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max,
-                         cfg.grid.z_min, cfg.grid.z_max)
-        solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
+        solver = AxisymSolver(generate(cfg.data, cfg.grid), cfg.solver)
         rows = [solver.record_diagnostics()]
         solver.run(cfg.solver.t_end, on_diagnostics=rows.append)
         rep = check_short_time_bound([r.t for r in rows], [r.q for r in rows],

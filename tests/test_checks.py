@@ -19,7 +19,7 @@ from axiswirl.checks import (
     run_invariant_suite,
 )
 from axiswirl.config import parse_config
-from axiswirl.fields import AxisymField, SnapshotHistory, make_grid, max_rvtheta, max_speed
+from axiswirl.fields import AxisymField, Grid, SnapshotHistory, max_rvtheta, max_speed
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field
 from axiswirl.solver import (
     AxisymSolver,
@@ -80,7 +80,7 @@ def test_max_principle_bound_violation_fails(grid16):
 def test_max_principle_lamb_oseen_closed_form():
     # r vtheta = (Gamma / 2 pi)(1 - exp(-r^2 / 4 nu t)) is increasing in r and
     # decreasing in t, with sup over the disk (Gamma/2 pi)(1 - exp(-R^2/4 nu t))
-    g = make_grid(128, 8, 6.0, -0.5, 0.5)
+    g = Grid(128, 8, 6.0, -0.5, 0.5)
     times = [0.5, 0.75, 1.0]
     rep = check_max_principle([max_rvtheta(lamb_oseen_field(1.0, 1.0, t, g)) for t in times],
                               n0=1.0 / (2 * np.pi))
@@ -164,9 +164,7 @@ def _ring_history(grid, boundary="dirichlet0"):
 def test_scaling_covariance_passes_on_the_shipped_configs(name, boundary):
     cfg = parse_config((CONFIGS / f"{name}.yaml").read_text(encoding="utf-8"))
     solver_cfg = dataclasses.replace(cfg.solver, boundary=boundary)
-    g = cfg.grid
-    hist = _run_history(generate(cfg.data, make_grid(g.nr, g.nz, g.r_max, g.z_min, g.z_max)),
-                        solver_cfg)
+    hist = _run_history(generate(cfg.data, cfg.grid), solver_cfg)
     rep = check_scaling_covariance(hist, solver_cfg)
     assert rep["pass"] and rep["steps"] == 2
     # measured roundoff is at most 5.6e-15

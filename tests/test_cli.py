@@ -10,7 +10,7 @@ import axiswirl.cli
 import axiswirl.microscope
 from axiswirl.cli import DIAG_COLUMNS, MICRO_COLUMNS, main
 from axiswirl.config import parse_config
-from axiswirl.fields import SnapshotHistory, make_grid, read_snapshot
+from axiswirl.fields import SnapshotHistory, read_snapshot
 from axiswirl.initial import generate
 from axiswirl.solver import AxisymSolver
 
@@ -45,6 +45,8 @@ def test_simulate_writes_outputs(tmp_path):
     assert main(["simulate", "--config", cfg]) == 0
     diag = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
     assert diag[0] == ",".join(DIAG_COLUMNS)
+    # the header is derived from DiagnosticsRecord; its bytes are part of the format
+    assert diag[0] == "step,t,Q,argmax_r,argmax_z,R,max_rvtheta,energy,max_divergence,boundary_max"
     assert len(diag) > 2
     snaps = sorted(out.glob("snap_*.bin"))
     assert snaps
@@ -280,14 +282,12 @@ def test_last_snapshot_is_the_end_state(tmp_path):
     assert main(["simulate", "--config", cfg]) == 0
     t, fld, p = read_snapshot(sorted(out.glob("snap_*.bin"))[-1])
     run = parse_config(Path(cfg).read_text(encoding="utf-8"))
-    g = run.grid
-    solver = AxisymSolver(generate(run.data, make_grid(g.nr, g.nz, g.r_max, g.z_min, g.z_max)),
-                          run.solver)
+    solver = AxisymSolver(generate(run.data, run.grid), run.solver)
     solver.run(run.solver.t_end)
     assert solver.step_count == 5 and t == solver.t
     for name in ("vr", "vtheta", "vz"):
         np.testing.assert_array_equal(getattr(fld, name), getattr(solver.state, name))
-    np.testing.assert_array_equal(p.values, solver.pressure.values)
+    np.testing.assert_array_equal(p, solver.pressure)
 
 
 def test_fresh_run_removes_snapshots_of_an_earlier_run(tmp_path):
@@ -564,3 +564,26 @@ def test_a_bad_sweep_value_stops_the_sweep_before_any_member_runs(tmp_path, caps
     assert "sweep.solver.snapshot_every" in capsys.readouterr().err
     assert not (out / "sweep_0000").exists()
     assert not out.exists()
+
+
+def test_a_bad_grid_is_a_config_error_before_anything_is_written(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = _write(tmp_path / "run.yaml",
+                 f"grid:\n  nr: 4\n  nz: 16\noutput:\n  directory: {out}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "error: grid: grid counts too small" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_bad_sweep_grid_stops_the_sweep_before_any_member_runs(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "solver:\n  dt: 1e-3\n  t_end: 2e-3\n"
+        f"output:\n  directory: {out}\n"
+        "sweep:\n  grid.nr: [16, 4]\n",
+    )
+    assert main(["sweep", "--config", cfg]) == 1
+    assert "sweep.grid.nr" in capsys.readouterr().err
+    assert not (out / "sweep_0000").exists()
+    assert not (out / "sweep_summary.csv").exists()

@@ -82,6 +82,16 @@ def test_type_mismatch_rejected():
         parse_config("data:\n  kind: 7\n")
 
 
+@pytest.mark.parametrize("section, message", [
+    ("nr: 4", "grid: grid counts too small"),
+    ("r_max: -1.0", "grid.r_max must be positive"),
+    ("z_min: 1.0\n  z_max: 1.0", "grid: need z_max > z_min"),
+], ids=["nr", "r_max", "z_extent"])
+def test_a_bad_grid_is_rejected_when_the_config_is_read(section, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"grid:\n  {section}\n")
+
+
 def test_bool_not_accepted_as_number():
     with pytest.raises(ConfigError, match="grid.nr"):
         parse_config("grid:\n  nr: true\n")

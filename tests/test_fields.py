@@ -4,10 +4,9 @@ import pytest
 
 from axiswirl.fields import (
     AxisymField,
-    ScalarField,
+    Grid,
     SnapshotHistory,
     boundary_max,
-    make_grid,
     max_rspeed,
     max_speed,
     read_snapshot,
@@ -24,13 +23,13 @@ from conftest import lamb_oseen_peak, rigid_rotation
 # grids
 # ---------------------------------------------------------------------------
 
-def test_make_grid_spacings():
-    g = make_grid(8, 8, 1.0, -0.5, 0.5)
+def test_grid_spacings():
+    g = Grid(8, 8, 1.0, -0.5, 0.5)
     assert g.dr == 0.125
     assert g.dz == 0.125
     assert g.r[0] == 0.0
 
-    g = make_grid(256, 256, 4.0, -4.0, 4.0)
+    g = Grid(256, 256, 4.0, -4.0, 4.0)
     assert g.dr == 0.015625
     assert g.dz == 0.03125
 
@@ -41,13 +40,13 @@ def test_make_grid_spacings():
     (8, 8, -1.0, 0.0, 1.0),
     (8, 8, 1.0, 1.0, 1.0),
 ])
-def test_make_grid_rejects_bad_arguments(args):
+def test_grid_rejects_bad_arguments(args):
     with pytest.raises(ValueError):
-        make_grid(*args)
+        Grid(*args)
 
 
 def test_grid_nodes_include_axis_and_extents():
-    g = make_grid(10, 12, 2.5, -1.0, 2.0)
+    g = Grid(10, 12, 2.5, -1.0, 2.0)
     assert g.r[0] == 0.0 and g.r[-1] == pytest.approx(2.5)
     assert g.z[0] == -1.0 and g.z[-1] == pytest.approx(2.0)
     assert g.shape == (11, 13)
@@ -118,7 +117,7 @@ def test_divergence_stream_function_refines_second_order():
     # about 4x when both spacings are halved
     sups = []
     for n in (32, 64):
-        g = make_grid(n, n, 4.0, -4.0, 4.0)
+        g = Grid(n, n, 4.0, -4.0, 4.0)
         fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
         sups.append(float(np.max(np.abs(_div(fld)))))
     factor = sups[0] / sups[1]
@@ -150,7 +149,7 @@ def test_frame_orthonormality_random_points():
     rng = np.random.default_rng(7)
     pts = rng.uniform(-3.0, 3.0, size=(10_000, 3))
     pts = pts[np.hypot(pts[:, 0], pts[:, 1]) > 1e-6]
-    grid = make_grid(8, 8, 5.0, -3.0, 3.0)
+    grid = Grid(8, 8, 5.0, -3.0, 3.0)
     e = np.stack([_sample(f, pts) for f in _unit_component_fields(grid)], axis=1)
     gram = np.einsum("nij,nkj->nik", e, e)
     np.testing.assert_allclose(gram, np.broadcast_to(np.eye(3), gram.shape), atol=1e-12)
@@ -159,7 +158,7 @@ def test_frame_orthonormality_random_points():
 def test_frame_rejects_axis_point():
     # the frame is undefined on the axis: there the horizontal components are
     # dropped, not divided by r = 0, even where the data do not vanish
-    grid = make_grid(8, 8, 5.0, -3.0, 3.0)
+    grid = Grid(8, 8, 5.0, -3.0, 3.0)
     pts = np.array([[0.0, 0.0, -1.0], [0.0, 0.0, 2.0]])
     for k, fld in enumerate(_unit_component_fields(grid)):
         np.testing.assert_array_equal(_sample(fld, pts), [[0.0, 0.0, float(k == 2)]] * 2)
@@ -280,7 +279,7 @@ def test_max_speed_rigid_rotation(grid16):
 
 def test_max_speed_lamb_oseen_matches_scan_oracle():
     nu, t = 1.0, 0.01
-    g = make_grid(512, 8, 2.0, -0.5, 0.5)
+    g = Grid(512, 8, 2.0, -0.5, 0.5)
     fld = lamb_oseen_field(1.0, nu, t, g)
     peak_v, peak_r = lamb_oseen_peak(1.0, nu, t)
     q, (r0, _) = max_speed(fld)
@@ -338,7 +337,7 @@ def test_boundary_max(ring_field):
 
 def test_history_requires_increasing_times(grid16):
     h = SnapshotHistory()
-    p = ScalarField(grid16, np.zeros(grid16.shape))
+    p = np.zeros(grid16.shape)
     h.push(0.0, AxisymField.zeros(grid16), p)
     with pytest.raises(ValueError):
         h.push(0.0, AxisymField.zeros(grid16), p)
@@ -350,8 +349,7 @@ def test_history_requires_increasing_times(grid16):
 
 def test_snapshot_roundtrip(tmp_path, ring_field):
     path = tmp_path / "snap.bin"
-    p = ScalarField(ring_field.grid, np.sin(np.arange(ring_field.grid.shape[0]))[:, None]
-                    * np.ones(ring_field.grid.shape))
+    p = np.sin(np.arange(ring_field.grid.shape[0]))[:, None] * np.ones(ring_field.grid.shape)
     write_snapshot(path, 0.125, ring_field, p)
     t, fld, pr = read_snapshot(path)
     assert t == 0.125
@@ -359,17 +357,17 @@ def test_snapshot_roundtrip(tmp_path, ring_field):
     np.testing.assert_array_equal(fld.vr, ring_field.vr)
     np.testing.assert_array_equal(fld.vtheta, ring_field.vtheta)
     np.testing.assert_array_equal(fld.vz, ring_field.vz)
-    np.testing.assert_array_equal(pr.values, p.values)
+    np.testing.assert_array_equal(pr, p)
 
 
 def test_failed_snapshot_write_leaves_previous_file(tmp_path, ring_field):
     path = tmp_path / "snap_00000004.bin"
-    p = ScalarField(ring_field.grid, np.zeros(ring_field.grid.shape))
+    p = np.zeros(ring_field.grid.shape)
     write_snapshot(path, 0.5, ring_field, p)
     before = path.read_bytes()
     # the pressure cannot be converted, so the write fails after the velocity
     # arrays have gone out
-    bad = ScalarField(ring_field.grid, np.full(ring_field.grid.shape, "x"))
+    bad = np.full(ring_field.grid.shape, "x")
     with pytest.raises(ValueError):
         write_snapshot(path, 0.75, AxisymField.zeros(ring_field.grid), bad)
     assert path.read_bytes() == before
@@ -378,7 +376,7 @@ def test_failed_snapshot_write_leaves_previous_file(tmp_path, ring_field):
 
 def test_snapshot_bad_magic(tmp_path, grid16):
     path = tmp_path / "snap.bin"
-    p = ScalarField(grid16, np.zeros(grid16.shape))
+    p = np.zeros(grid16.shape)
     write_snapshot(path, 0.0, AxisymField.zeros(grid16), p)
     data = bytearray(path.read_bytes())
     data[:4] = b"NOPE"
@@ -389,7 +387,7 @@ def test_snapshot_bad_magic(tmp_path, grid16):
 
 def test_snapshot_truncation_detected(tmp_path, grid16):
     path = tmp_path / "snap.bin"
-    p = ScalarField(grid16, np.zeros(grid16.shape))
+    p = np.zeros(grid16.shape)
     write_snapshot(path, 0.0, AxisymField.zeros(grid16), p)
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError, match="truncated"):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from axiswirl.checks import check_n0_bounds
-from axiswirl.fields import make_grid
+from axiswirl.fields import Grid
 from axiswirl.initial import (
     DataSpec,
     generate,
@@ -61,13 +61,13 @@ def test_lamb_oseen_profile_continuous_at_switch():
 
 
 def test_lamb_oseen_field_rejects_nonpositive_time():
-    g = make_grid(16, 16, 2.0, -1.0, 1.0)
+    g = Grid(16, 16, 2.0, -1.0, 1.0)
     with pytest.raises(ValueError, match="t_offset"):
         lamb_oseen_field(1.0, 1.0, 0.0, g)
 
 
 def test_lamb_oseen_field_is_pure_swirl_and_z_independent():
-    g = make_grid(24, 24, 4.0, -2.0, 2.0)
+    g = Grid(24, 24, 4.0, -2.0, 2.0)
     fld = lamb_oseen_field(1.0, 1.0, 0.5, g)
     assert np.all(fld.vr == 0.0)
     assert np.all(fld.vz == 0.0)
@@ -96,7 +96,7 @@ def test_lamb_oseen_peak_matches_bruteforce_scan():
 def test_vortex_ring_bounds_hold_by_construction(seed):
     rng = np.random.default_rng(seed)
     n0 = rng.uniform(0.3, 3.0)
-    g = make_grid(32, 32, 4.0, -4.0, 4.0)
+    g = Grid(32, 32, 4.0, -4.0, 4.0)
     spec = DataSpec(kind="vortex_ring_swirl", n0=n0,
                     swirl_amplitude=rng.uniform(0.1, 1.0))
     fld = vortex_ring_swirl(spec, g)
@@ -107,7 +107,7 @@ def test_vortex_ring_bounds_hold_by_construction(seed):
 
 
 def test_vortex_ring_rejects_fat_core():
-    g = make_grid(16, 16, 4.0, -2.0, 2.0)
+    g = Grid(16, 16, 4.0, -2.0, 2.0)
     with pytest.raises(ValueError, match="core"):
         vortex_ring_swirl(DataSpec(kind="vortex_ring_swirl", ring_r=1.0, core_radius=0.4), g)
 
@@ -116,14 +116,14 @@ def test_vortex_ring_divergence_refines_second_order():
     # analytic stream-function field: discrete divergence is pure truncation error
     norms = []
     for n in (32, 64):
-        g = make_grid(n, n, 4.0, -4.0, 4.0)
+        g = Grid(n, n, 4.0, -4.0, 4.0)
         fld = vortex_ring_swirl(DataSpec(kind="vortex_ring_swirl"), g)
         norms.append(float(np.abs(divergence(build_divergence_matrix(g), fld)).max()))
     assert 3.0 < norms[0] / norms[1] < 5.0
 
 
 def test_vortex_ring_deterministic():
-    g = make_grid(24, 24, 4.0, -3.0, 3.0)
+    g = Grid(24, 24, 4.0, -3.0, 3.0)
     a = vortex_ring_swirl(DataSpec(kind="vortex_ring_swirl"), g)
     b = vortex_ring_swirl(DataSpec(kind="vortex_ring_swirl"), g)
     assert np.array_equal(a.vr, b.vr)
@@ -133,7 +133,7 @@ def test_vortex_ring_deterministic():
 
 @pytest.mark.parametrize("seed", range(4))
 def test_stream_random_deterministic_and_bounded(seed):
-    g = make_grid(24, 24, 4.0, -3.0, 3.0)
+    g = Grid(24, 24, 4.0, -3.0, 3.0)
     spec = DataSpec(kind="stream_random", seed=seed, n0=0.8)
     a = stream_random(spec, g)
     b = stream_random(spec, g)
@@ -144,7 +144,7 @@ def test_stream_random_deterministic_and_bounded(seed):
 
 
 def test_stream_random_seeds_differ():
-    g = make_grid(24, 24, 4.0, -3.0, 3.0)
+    g = Grid(24, 24, 4.0, -3.0, 3.0)
     a = stream_random(DataSpec(kind="stream_random", seed=1), g)
     b = stream_random(DataSpec(kind="stream_random", seed=2), g)
     assert not np.array_equal(a.vtheta, b.vtheta)
@@ -153,7 +153,7 @@ def test_stream_random_seeds_differ():
 def test_n0_norms_rigid_rotation_oracle():
     # vtheta = r on r in [0,1]: sup=1, r sup=1, and the weighted L2 integral
     # of r^2 over the cylinder is 2 pi * H * r_max^4 / 4
-    g = make_grid(64, 16, 1.0, 0.0, 1.0)
+    g = Grid(64, 16, 1.0, 0.0, 1.0)
     from axiswirl.fields import AxisymField
     fld = AxisymField.zeros(g)
     fld.vtheta = g.r[:, None] * np.ones(g.shape)
@@ -164,7 +164,7 @@ def test_n0_norms_rigid_rotation_oracle():
 
 
 def test_generate_dispatches_by_kind():
-    g = make_grid(16, 16, 4.0, -2.0, 2.0)
+    g = Grid(16, 16, 4.0, -2.0, 2.0)
     lo = generate(DataSpec(kind="lamb_oseen", t_offset=0.5), g)
     assert np.all(lo.vr == 0.0)
     ring = generate(DataSpec(kind="vortex_ring_swirl"), g)

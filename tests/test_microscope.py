@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 from axiswirl import microscope
 from axiswirl.fields import (
     AxisymField,
-    ScalarField,
+    Grid,
     SnapshotHistory,
-    make_grid,
     read_snapshot,
 )
 from axiswirl.microscope import (
@@ -31,7 +30,7 @@ from axiswirl.microscope import (
 
 def _history(grid, fields, times):
     hist = SnapshotHistory()
-    p = ScalarField(grid, np.zeros(grid.shape))
+    p = np.zeros(grid.shape)
     for t, fld in zip(times, fields):
         hist.push(t, fld, p)
     return hist
@@ -180,7 +179,7 @@ def test_rescale_scaling_consistency(grid32):
     zoom1 = ZoomParameters(mode="A", t0=0.2, r0=2.0, z0=0.0, q=w, ratio=1.0)
     s1 = rescale_history(hist1, zoom1, cfg)
     # dilated flow: velocity lambda*w on the grid shrunk by lambda, times / lambda^2
-    g2 = make_grid(32, 32, 4.0 / lam, -4.0 / lam, 4.0 / lam)
+    g2 = Grid(32, 32, 4.0 / lam, -4.0 / lam, 4.0 / lam)
     hist2 = _history(g2, [_uniform_axial(g2, lam * w)] * 2, [0.0, 0.2 / lam**2])
     zoom2 = ZoomParameters(mode="A", t0=0.2 / lam**2, r0=2.0 / lam, z0=0.0,
                            q=lam * w, ratio=1.0)

@@ -17,9 +17,8 @@ from axiswirl.checks import (
 from axiswirl.config import parse_config
 from axiswirl.fields import (
     AxisymField,
-    ScalarField,
+    Grid,
     SnapshotHistory,
-    make_grid,
 )
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_profile
 from axiswirl.solver import (
@@ -96,7 +95,7 @@ def test_advect_manufactured_profile():
     # f = sin(r) cos(z), vr = r, vz = -2z -> r cos(r) cos(z) + 2z sin(r) sin(z)
     errs = []
     for n in (64, 128):
-        g = make_grid(n, n, 2.0, -1.0, 1.0)
+        g = Grid(n, n, 2.0, -1.0, 1.0)
         R, Z = np.meshgrid(g.r, g.z, indexing="ij")
         b = AxisymField(g, R.copy(), np.zeros(g.shape), -2.0 * Z)
         f = np.sin(R) * np.cos(Z)
@@ -207,7 +206,7 @@ def test_diffuse_swirllike_separable_profile():
     # r (4z^2 - 2) e^{-z^2}; nodal error is second order
     errs = []
     for n in (32, 64):
-        g = make_grid(n, n, 2.0, -1.0, 1.0)
+        g = Grid(n, n, 2.0, -1.0, 1.0)
         R, Z = np.meshgrid(g.r, g.z, indexing="ij")
         exact = R * (4 * Z**2 - 2) * np.exp(-(Z**2))
         got = _laplacian(g, R * np.exp(-(Z**2)), "vtheta")
@@ -229,7 +228,7 @@ def test_diffuse_plain_quadratic(grid16):
 def test_diffuse_plain_bessel_like_profile():
     errs = []
     for n in (32, 64):
-        g = make_grid(n, n, 2.0, -1.0, 1.0)
+        g = Grid(n, n, 2.0, -1.0, 1.0)
         R, Z = np.meshgrid(g.r, g.z, indexing="ij")
         exact = (4 * R**2 - 4) * np.exp(-(R**2))
         got = _laplacian(g, np.exp(-(R**2)), "vz")
@@ -264,7 +263,7 @@ def test_momentum_rhs_lamb_oseen_heat_operator():
     circ, nu, t = 1.0, 1.0, 0.5
     errs = []
     for n in (64, 128):
-        g = make_grid(n, n, 6.0, -1.0, 1.0)
+        g = Grid(n, n, 6.0, -1.0, 1.0)
         fld = lamb_oseen_field(circ, nu, t, g)
         swirl = momentum_rhs(fld).vtheta + nu * HelmholtzSolver(g, False).laplacian(fld).vtheta
         r = g.r[1:-1]
@@ -333,7 +332,7 @@ ORACLE_GRIDS = [
 
 @pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=["16", "64", "24x40"])
 def test_divergence_matrix_equals_loop_oracle(dims):
-    g = make_grid(*dims)
+    g = Grid(*dims)
     got = build_divergence_matrix(g)
     want = _loop_divergence_matrix(g)
     assert got.has_canonical_format
@@ -364,7 +363,7 @@ def _walled_ring(g):
 def test_preconditioner_inverts_the_operator_on_its_range(dims):
     # the fast-diagonalised inverse is K's exact inverse on every right-hand
     # side a velocity field's divergence can give
-    g = make_grid(*dims)
+    g = Grid(*dims)
     op, K = _oracle_pressure_matrix(g)
     # b = D u for a random u on the nodes the projection moves
     b = op.D @ np.where(op._mask, np.random.default_rng(5).normal(size=2 * op._npts), 0.0)
@@ -377,7 +376,7 @@ def test_preconditioner_inverts_the_operator_on_its_range(dims):
 @pytest.mark.parametrize("dims", [ORACLE_GRIDS[0], ORACLE_GRIDS[2]], ids=["16", "24x40"])
 def test_pressure_kernel_has_dimension_six(dims):
     # K = D W^-1 D^T has six null modes; the inverse drops exactly those
-    g = make_grid(*dims)
+    g = Grid(*dims)
     op, K = _oracle_pressure_matrix(g)
     lam = np.linalg.eigvalsh(K.toarray())
     assert np.sum(lam < 1e-9 * lam[-1]) == 6
@@ -404,7 +403,7 @@ def test_projection_raises_poisson_error_after_one_application_of_the_inverse(mo
     # pressure can remove: the divergence left after the one solve exceeds
     # the tolerance, and the projection raises instead of returning the field
     calls = _count_inverse_applications(monkeypatch)
-    g = make_grid(24, 40, 1.5, -2.0, 5.0)
+    g = Grid(24, 40, 1.5, -2.0, 5.0)
     op = ProjectionOperator(g)
     fld = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
     with pytest.raises(PoissonError) as err:
@@ -416,7 +415,7 @@ def test_projection_raises_poisson_error_after_one_application_of_the_inverse(mo
 def test_projection_keeps_no_state_between_calls():
     # an operator that has projected another field returns the same bits for
     # one field as a fresh operator
-    g = make_grid(64, 64, 4.0, -4.0, 4.0)
+    g = Grid(64, 64, 4.0, -4.0, 4.0)
     fld = _walled_ring(g)
     fresh, used = ProjectionOperator(g), ProjectionOperator(g)
     other = fld.copy()
@@ -426,7 +425,7 @@ def test_projection_keeps_no_state_between_calls():
     u_used, p_used = used.project(fld, dt=1e-3)
     for name in ("vr", "vtheta", "vz"):
         np.testing.assert_array_equal(getattr(u_used, name), getattr(u_fresh, name))
-    np.testing.assert_array_equal(p_used.values, p_fresh.values)
+    np.testing.assert_array_equal(p_used, p_fresh)
 
 
 def test_projection_operator_is_freed_without_cycle_collection(grid16):
@@ -460,9 +459,8 @@ def test_shipped_configs_project_in_one_preconditioner_application(monkeypatch, 
         return out, p
 
     monkeypatch.setattr(ProjectionOperator, "project", project)
-    grid = make_grid(cfg.grid.nr, cfg.grid.nz, cfg.grid.r_max, cfg.grid.z_min, cfg.grid.z_max)
-    assert grid.shape == (65, 65)
-    solver = AxisymSolver(generate(cfg.data, grid), cfg.solver)
+    assert cfg.grid.shape == (65, 65)
+    solver = AxisymSolver(generate(cfg.data, cfg.grid), cfg.solver)
     for _ in range(20):
         solver.step()
     # the initial projection and two per step, each one application of the
@@ -582,7 +580,7 @@ def test_helmholtz_operators_match_diffusion_stencils(name, neumann):
     # oracle stencils on every node they reach; their square blocks, which the
     # solve diagonalises, are the stencils on the nodes the solve treats as
     # unknown, for a field whose fixed nodes are zero (copies, on Neumann ends)
-    g = make_grid(*HELMHOLTZ_GRID)
+    g = Grid(*HELMHOLTZ_GRID)
     rng = np.random.default_rng(5)
     diffuse, lo = (_diffuse_plain, 0) if name == "vz" else (_diffuse_swirllike, 1)
     solver = HelmholtzSolver(g, neumann)
@@ -606,7 +604,7 @@ def test_helmholtz_operators_match_diffusion_stencils(name, neumann):
 
 @pytest.mark.parametrize("neumann_swirl", [False, True], ids=["dirichlet0", "hold"])
 def test_helmholtz_solve_residual(neumann_swirl):
-    g = make_grid(*HELMHOLTZ_GRID)
+    g = Grid(*HELMHOLTZ_GRID)
     rng = np.random.default_rng(6)
     rhs = AxisymField(g, *rng.normal(size=(3,) + g.shape))
     bounded = _with_boundary_values(g, rng, rhs, neumann_swirl)
@@ -633,7 +631,7 @@ def test_solve_applies_no_laplacian_and_a_step_one(boundary, monkeypatch):
     laplacian = HelmholtzSolver.laplacian
     monkeypatch.setattr(HelmholtzSolver, "laplacian",
                         lambda self, fld: calls.append(1) or laplacian(self, fld))
-    g = make_grid(*HELMHOLTZ_GRID)
+    g = Grid(*HELMHOLTZ_GRID)
     solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary=boundary))
     state = solver.state
@@ -647,7 +645,7 @@ def test_changing_dt_rebuilds_no_eigenvectors(monkeypatch):
     calls = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-    g = make_grid(*HELMHOLTZ_GRID)
+    g = Grid(*HELMHOLTZ_GRID)
     solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary="hold"))
     # swirl-like and plain radial, Dirichlet and Neumann axial
@@ -664,7 +662,7 @@ def test_changing_dt_rebuilds_no_eigenvectors(monkeypatch):
 
 def test_stable_dt_limits():
     # the advective CFL alone: cfl * h / max(1, q), whatever the viscosity
-    g = make_grid(32, 64, 4.0, -4.0, 4.0)
+    g = Grid(32, 64, 4.0, -4.0, 4.0)
     slow = stable_dt(g, cfl=0.4, qmax=0.0)
     assert slow == pytest.approx(0.4 * g.dz)
     fast = stable_dt(g, cfl=0.4, qmax=10.0)
@@ -740,7 +738,7 @@ def test_constructor_keeps_a_stepped_state_bit_for_bit(n, boundary):
     # which applies the boundary conditions and projects: both must keep
     # every bit of it
     cfg = SolverConfig(cfl=0.4, boundary=boundary)
-    g = make_grid(n, n, 4.0, -4.0, 4.0)
+    g = Grid(n, n, 4.0, -4.0, 4.0)
     solver = AxisymSolver(generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g), cfg)
     for _ in range(6):
         solver.step()
@@ -789,7 +787,7 @@ def mms_residual(history: SnapshotHistory, window: tuple[float, float] | None = 
         tm, t0, tp = snaps[k - 1].t, snaps[k].t, snaps[k + 1].t
         hm, hp = t0 - tm, tp - t0
         fm, f0, fp = snaps[k - 1].field, snaps[k].field, snaps[k + 1].field
-        p = snaps[k].pressure.values
+        p = snaps[k].pressure
 
         def dt_of(name: str) -> np.ndarray:
             am, a0, ap = getattr(fm, name), getattr(f0, name), getattr(fp, name)
@@ -826,7 +824,7 @@ def _analytic_history(grid, times, circ=1.0, nu=1.0):
     hist = SnapshotHistory()
     for t in times:
         fld = lamb_oseen_field(circ, nu, t, grid)
-        hist.push(t, fld, ScalarField(grid, np.zeros(grid.shape)))
+        hist.push(t, fld, np.zeros(grid.shape))
     return hist
 
 
@@ -841,7 +839,7 @@ def test_mms_residual_constant_axial_flow(grid16):
     for t in (0.0, 0.1, 0.2):
         fld = AxisymField.zeros(grid16)
         fld.vz[:] = 1.5
-        hist.push(t, fld, ScalarField(grid16, np.zeros(grid16.shape)))
+        hist.push(t, fld, np.zeros(grid16.shape))
     res = mms_residual(hist)
     for eq in ("vr", "vtheta", "vz", "div"):
         assert res[eq]["sup"] == 0.0
@@ -851,7 +849,7 @@ def test_mms_residual_analytic_snapshots_refine():
     # weighted L2: the near-axis first-order sliver carries vanishing volume
     norms = []
     for n in (32, 64):
-        g = make_grid(n, n, 6.0, -2.0, 2.0)
+        g = Grid(n, n, 6.0, -2.0, 2.0)
         dt = 1e-3 / (n / 32) ** 2
         hist = _analytic_history(g, [0.5 - dt, 0.5, 0.5 + dt])
         norms.append(mms_residual(hist)["vtheta"]["l2"])

@@ -1,4 +1,4 @@
-"""Source hygiene: production code that only tests use is deleted."""
+"""Source hygiene: production code that only tests use is deleted, and no type shadows another."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -22,3 +22,15 @@ def test_every_module_level_definition_is_used_in_src():
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and uses[node.name] == _uses(node)[node.name]]
     assert not unused, "defined in src but used only outside it: " + ", ".join(unused)
+
+
+def test_no_two_dataclasses_declare_the_same_fields():
+    fields = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(
+                    "dataclass" in ast.unparse(d) for d in node.decorator_list):
+                names = frozenset(s.target.id for s in node.body if isinstance(s, ast.AnnAssign))
+                fields.setdefault(names, []).append(f"{path.name}:{node.name}")
+    shadows = [homes for homes in fields.values() if len(homes) > 1]
+    assert not shadows, "dataclasses with the same fields: " + "; ".join(map(", ".join, shadows))
