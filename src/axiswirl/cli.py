@@ -107,7 +107,7 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
         raise ConfigError(f"no snapshots found in {directory}")
     history = SnapshotHistory()
     for p in paths:
-        history.push(*read_snapshot(p))
+        history.push(*read_snapshot(p)[:2])  # time and velocities: no pressure is kept
     rows = microscope_report(history, cfg.microscope)
     # the cubes of an earlier run, which may have had more rows, go first
     if dump_cubes:

@@ -90,7 +90,6 @@ class AxisymField:
 class Snapshot:
     t: float
     field: AxisymField
-    pressure: np.ndarray  # (nr+1, nz+1) nodal values
 
 
 @dataclass
@@ -99,14 +98,14 @@ class SnapshotHistory:
 
     snapshots: list[Snapshot] = field(default_factory=list)
 
-    def push(self, t: float, fld: AxisymField, pressure: np.ndarray) -> None:
+    def push(self, t: float, fld: AxisymField) -> None:
         if self.snapshots and t <= self.snapshots[-1].t:
             raise ValueError(f"snapshot times must increase: {t} after {self.snapshots[-1].t}")
-        self.snapshots.append(Snapshot(float(t), fld, pressure))
+        self.snapshots.append(Snapshot(float(t), fld))
 
     def record(self, solver) -> None:
-        """Push a copy of a solver's time, state and pressure (an ``on_snapshot`` sink)."""
-        self.push(solver.t, solver.state.copy(), solver.pressure.copy())
+        """Push a copy of a solver's time and state (an ``on_snapshot`` sink)."""
+        self.push(solver.t, solver.state.copy())
 
     def __len__(self) -> int:
         return len(self.snapshots)

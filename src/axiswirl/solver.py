@@ -3,15 +3,16 @@
 IMEX Runge-Kutta (Ascher, Ruuth & Spiteri 1997, the L-stable (2,2,2) scheme):
 advection and the curvature terms are explicit, the viscous terms implicit,
 with a pressure projection after each stage.  The implicit solves are exact:
-each viscous operator is a sum of a radial and an axial 1D operator, and both
-are diagonalised once per grid (Lynch, Rice & Thomas 1964).  With no viscous
-stability limit, dt is set by the advective CFL alone.  The projection uses
-the discrete-adjoint gradient of the divergence operator, so the
-post-projection divergence equals the Poisson solve residual (times the
-stage's time increment) at every node, boundary rows included.  Its pressure
-operator is diagonalised the same way, so the pressure solve is one
-application of its exact inverse: no factor is stored, and no state is kept
-from one projection to the next.
+each viscous operator is a sum of a radial and an axial 1D operator, both
+tridiagonal and diagonalised once per grid by a tridiagonal eigensolver (Lynch,
+Rice & Thomas 1964).  With no viscous stability limit, dt is set by the
+advective CFL alone.  The projection uses the discrete-adjoint gradient of the
+divergence operator, so the post-projection divergence equals the Poisson
+solve residual (times the stage's time increment) at every node, boundary rows
+included.  Its pressure operator is diagonalised from two dense generalised
+eigenproblems (the axial one split in two by z-reversal), so the pressure
+solve is one application of its exact inverse: no factor is stored, and no
+state is kept from one projection to the next.
 
 Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
 The boundary conditions own the axis: vr and vtheta vanish there, and vz's
@@ -210,6 +211,22 @@ def kinetic_energy(fld: AxisymField) -> float:
     return float(2 * np.pi * 0.5 * np.sum(w * (fld.vr**2 + fld.vtheta**2 + fld.vz**2)))
 
 
+def _mirror_eigh(K: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(theta, V) with K V = B V diag(theta) and V^T B V = I, as scipy.linalg.eigh
+    gives, for a definite pencil of persymmetric matrices (J K J = K, J the
+    reversal): the mirror-even vectors [u; J u] (overlapping in the middle node
+    of odd n) and the mirror-odd ones [u; -J u] each solve a half-size pencil."""
+    n = len(K)
+    h, m = n // 2, n - n // 2
+    theta_e, Ye = scipy.linalg.eigh(*(A[:m, :m] + A[:m, h:][:, ::-1] for A in (K, B)))
+    theta_o, Yo = scipy.linalg.eigh(*(A[:h, :h] - A[:h, m:][:, ::-1] for A in (K, B)))
+    V = np.zeros((n, n))
+    V[:m, :m], V[:h, m:] = Ye, Yo
+    V[h:, :m] += Ye[::-1]
+    V[m:, m:] -= Yo[::-1]
+    return np.r_[theta_e, theta_o], V / np.sqrt(2.0)
+
+
 class ProjectionOperator:
     """Exact discrete Helmholtz projection onto divergence-free fields.
 
@@ -218,8 +235,11 @@ class ProjectionOperator:
     (divergence_operators): Kr = Ar_f Wr^-1 Ar_f^T, Mr = Wr^-1 on the free vz
     rows, Kz = Az_f Az_f^T and Pz the identity on the free vr columns.  The
     generalised eigenvectors (V^T B V = I) of the definite pencils
-    (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964),
-    so s = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact inverse applied to R on
+    (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964).
+    The radial pencil (pentadiagonal, with no symmetry) is solved dense.  Az is
+    odd under the z-reversal J (J Az J = -Az), so J commutes with Kz and Pz and
+    the axial pencil splits into two of half the size (_mirror_eigh).
+    s = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact inverse applied to R on
     K's range.  It is zero on K's 6-dimensional kernel, so s has no kernel
     component: the pressure is set by the flow alone.  The velocity update is
     the adjoint gradient B W^-1 D^T s, which reduces in the interior to the
@@ -251,7 +271,7 @@ class ProjectionOperator:
         Kr = (Ar / wr[1:-1]) @ Ar.T
         Kz = Az @ Az.T
         phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
-        theta, self._Vz = scipy.linalg.eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
+        theta, self._Vz = _mirror_eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
         lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta
         # lam lies in [0, 1]: roundoff (< 1e-13) on the kernel, O(h^2) above it
         self._lam_inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam >= 1e-9)
@@ -315,13 +335,14 @@ def _axial_operator(g: Grid) -> sp.csr_matrix:
     return sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n, n + 2), format="csr") / g.dz**2
 
 
-def _diagonalise(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, w, lam) with A = V diag(lam) V^-1 and V^-1 = V^T diag(w), for A
-    symmetric under the weights w (diag(w) A symmetric): from the orthogonal
-    eigenvectors Q of W^1/2 A W^-1/2, V = W^-1/2 Q."""
+def _diagonalise(A: sp.csr_matrix, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, w, lam) with A = V diag(lam) V^-1 and V^-1 = V^T diag(w), for a
+    tridiagonal A symmetric under the weights w (diag(w) A symmetric): from the
+    orthogonal eigenvectors Q of the symmetric tridiagonal W^1/2 A W^-1/2, found
+    by LAPACK's divide and conquer, V = W^-1/2 Q."""
     s = np.sqrt(w)
-    S = A * (s[:, None] / s[None, :])
-    lam, Q = np.linalg.eigh(0.5 * (S + S.T))
+    lam, Q = scipy.linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1) * (s[:-1] / s[1:]),
+                                           lapack_driver="stevd")
     return Q / s[:, None], w, lam
 
 
@@ -336,25 +357,23 @@ class HelmholtzSolver:
     ``neumann_swirl`` vtheta's z ends copy their neighbour, which folds Z's end
     columns onto those neighbours.  With the blocks R = V_r diag(lr) V_r^-1 and
     Z = V_z diag(lz) V_z^-1 the solve is
-    X = V_r [(V_r^-1 B V_z^-T) / (1 - c (lr_i + lz_j))] V_z^T.  The
-    decompositions are made once, at construction; only the denominator depends on c.
+    X = V_r [(V_r^-1 B V_z^-T) / (1 - c (lr_i + lz_j))] V_z^T.  The blocks are
+    tridiagonal, decomposed once, at construction, by a tridiagonal eigensolver
+    (_diagonalise); only the denominator depends on c.
     """
 
     def __init__(self, grid: Grid, neumann_swirl: bool):
         w = volume_weights(grid)[:, 1]  # an inner z column: the radial weights times dr dz
         swirl = _radial_operator(grid, swirllike=True)
         plain = _radial_operator(grid, swirllike=False)
-        radial_swirl = _diagonalise(swirl[:, 1:-1].toarray(), w[1:-1])
-        radial_plain = _diagonalise(plain[:, :-1].toarray(), w[:-1])
-        self._Z = _axial_operator(grid)
-        Z = self._Z.toarray()
+        radial_swirl = _diagonalise(swirl[:, 1:-1], w[1:-1])
+        radial_plain = _diagonalise(plain[:, :-1], w[:-1])
+        self._Z = Z = _axial_operator(grid)
         ones = np.ones(grid.nz - 1)
         dirichlet = neumann = _diagonalise(Z[:, 1:-1], ones)
         if neumann_swirl:
-            folded = Z[:, 1:-1].copy()
-            folded[:, 0] += Z[:, 0]
-            folded[:, -1] += Z[:, -1]
-            neumann = _diagonalise(folded, ones)
+            ends = np.r_[Z[0, 0], np.zeros(grid.nz - 3), Z[-1, -1]]
+            neumann = _diagonalise(Z[:, 1:-1] + sp.diags(ends), ones)
         # per component: radial operator, first unknown row, radial and axial decompositions
         self._ops = {"vr": (swirl, 1, radial_swirl, dirichlet),
                      "vtheta": (swirl, 1, radial_swirl, neumann),

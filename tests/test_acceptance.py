@@ -187,9 +187,8 @@ def test_cube_centers_normalized(trend_runs):
     fld = AxisymField.zeros(grid)
     fld.vz = 0.7 * np.ones(grid.shape)
     hist = SnapshotHistory()
-    p = np.zeros(grid.shape)
     for t in (0.0, 0.3, 0.6):
-        hist.push(t, fld.copy(), p)
+        hist.push(t, fld.copy())
     cfg = MicroscopeConfig(sigma0=8.0)
     zoom = ZoomParameters(mode="A", t0=0.6, r0=2.0, z0=0.0, q=0.7, ratio=1.0)
     const_total = constant_closeness(rescale_history(hist, zoom, cfg), cfg).total

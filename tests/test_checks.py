@@ -224,7 +224,7 @@ def test_run_invariant_suite_names_and_gating(grid16):
         rows.append(solver.record_diagnostics())
         hist.record(solver)
     one = SnapshotHistory()
-    one.push(hist.snapshots[0].t, hist.snapshots[0].field, hist.snapshots[0].pressure)
+    one.push(hist.snapshots[0].t, hist.snapshots[0].field)
     names = [r["name"] for r in run_invariant_suite(rows[:1], one, 10.0, InvariantConfig(),
                                                     SolverConfig(cfl=0.4))]
     # a single state has no step to zoom: the covariance check is skipped

@@ -77,8 +77,8 @@ def test_simulate_keeps_at_most_one_snapshot_in_memory(tmp_path, monkeypatch):
     most = []
     push = SnapshotHistory.push
 
-    def counting_push(self, t, fld, pressure):
-        push(self, t, fld, pressure)
+    def counting_push(self, t, fld):
+        push(self, t, fld)
         most.append(len(self))
 
     monkeypatch.setattr(SnapshotHistory, "push", counting_push)
@@ -401,8 +401,8 @@ def test_validate_keeps_at_most_three_states(tmp_path, monkeypatch, capsys):
     most = []
     push = SnapshotHistory.push
 
-    def counting_push(self, t, fld, pressure):
-        push(self, t, fld, pressure)
+    def counting_push(self, t, fld):
+        push(self, t, fld)
         most.append(len(self))
 
     monkeypatch.setattr(SnapshotHistory, "push", counting_push)

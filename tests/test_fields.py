@@ -337,10 +337,9 @@ def test_boundary_max(ring_field):
 
 def test_history_requires_increasing_times(grid16):
     h = SnapshotHistory()
-    p = np.zeros(grid16.shape)
-    h.push(0.0, AxisymField.zeros(grid16), p)
+    h.push(0.0, AxisymField.zeros(grid16))
     with pytest.raises(ValueError):
-        h.push(0.0, AxisymField.zeros(grid16), p)
+        h.push(0.0, AxisymField.zeros(grid16))
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,8 @@ from axiswirl.microscope import (
 
 def _history(grid, fields, times):
     hist = SnapshotHistory()
-    p = np.zeros(grid.shape)
     for t, fld in zip(times, fields):
-        hist.push(t, fld, p)
+        hist.push(t, fld)
     return hist
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 import axiswirl.solver
@@ -28,11 +29,13 @@ from axiswirl.solver import (
     PoissonError,
     ProjectionOperator,
     SolverConfig,
+    _mirror_eigh,
     _pad_r,
     _pad_z,
     advect,
     build_divergence_matrix,
     divergence,
+    divergence_operators,
     kinetic_energy,
     momentum_rhs,
     stable_dt,
@@ -327,10 +330,12 @@ ORACLE_GRIDS = [
     (16, 16, 2.0, -1.0, 1.0),
     (64, 64, 6.0, -3.0, 3.0),
     (24, 40, 2.7, -2.0, 5.0),
+    (20, 33, 2.0, -1.5, 2.5),
 ]
+ORACLE_IDS = ["16", "64", "24x40", "20x33"]
 
 
-@pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=["16", "64", "24x40"])
+@pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=ORACLE_IDS)
 def test_divergence_matrix_equals_loop_oracle(dims):
     g = Grid(*dims)
     got = build_divergence_matrix(g)
@@ -359,7 +364,7 @@ def _walled_ring(g):
     return fld
 
 
-@pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=["16", "64", "24x40"])
+@pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=ORACLE_IDS)
 def test_preconditioner_inverts_the_operator_on_its_range(dims):
     # the fast-diagonalised inverse is K's exact inverse on every right-hand
     # side a velocity field's divergence can give
@@ -373,7 +378,8 @@ def test_preconditioner_inverts_the_operator_on_its_range(dims):
     assert float(np.max(np.abs(divergence(op.D, out)))) <= op.tol
 
 
-@pytest.mark.parametrize("dims", [ORACLE_GRIDS[0], ORACLE_GRIDS[2]], ids=["16", "24x40"])
+@pytest.mark.parametrize("dims", [ORACLE_GRIDS[0], ORACLE_GRIDS[2], ORACLE_GRIDS[3]],
+                         ids=["16", "24x40", "20x33"])
 def test_pressure_kernel_has_dimension_six(dims):
     # K = D W^-1 D^T has six null modes; the inverse drops exactly those
     g = Grid(*dims)
@@ -382,6 +388,22 @@ def test_pressure_kernel_has_dimension_six(dims):
     assert np.sum(lam < 1e-9 * lam[-1]) == 6
     M = np.stack([op._inverse(e) for e in np.eye(op._npts)], axis=1)
     assert np.linalg.matrix_rank(M, tol=1e-9 * np.abs(M).max()) == op._npts - 6
+
+
+@pytest.mark.parametrize("nz", [8, 9, 40, 41])
+def test_mirror_split_solves_the_axial_pencil(nz):
+    # the even and odd halves of the persymmetric pencil (Kz, Kz + Pz), with
+    # and without a middle node, give the full pencil's B-orthonormal
+    # eigenvectors and its eigenvalues
+    g = Grid(16, nz, 2.0, -1.5, 2.5)
+    Az = divergence_operators(g)[1][:, 1:-1]
+    K = Az @ Az.T
+    B = K + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0])
+    theta, V = _mirror_eigh(K, B)
+    np.testing.assert_allclose(V.T @ B @ V, np.eye(nz + 1), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(V.T @ K @ V, np.diag(theta), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(np.sort(theta), scipy.linalg.eigh(K, B, eigvals_only=True),
+                               rtol=0, atol=1e-13)
 
 
 def _count_inverse_applications(monkeypatch):
@@ -643,17 +665,35 @@ def test_solve_applies_no_laplacian_and_a_step_one(boundary, monkeypatch):
 
 def test_changing_dt_rebuilds_no_eigenvectors(monkeypatch):
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    eigh = scipy.linalg.eigh_tridiagonal
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
+                        lambda d, e, **kw: calls.append(len(d)) or eigh(d, e, **kw))
     g = Grid(*HELMHOLTZ_GRID)
     solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary="hold"))
     # swirl-like and plain radial, Dirichlet and Neumann axial
-    assert sorted(calls) == [(23, 23), (24, 24), (39, 39), (39, 39)]
+    assert sorted(calls) == [23, 24, 39, 39]
     dt = solver.current_dt()
     for k in (1.0, 0.3, 0.05):
         solver.step(k * dt)
     assert len(calls) == 4
+
+
+def test_set_up_decomposes_no_dense_matrix_beyond_the_radial_pencil(monkeypatch):
+    # the viscous factors are tridiagonal, and the projection's axial pencil
+    # splits into its mirror-even and mirror-odd halves: the only full-size
+    # dense eigensolve left is the projection's radial pencil
+    sizes = []
+    np_eigh, sc_eigh = np.linalg.eigh, scipy.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a, *args, **kw:
+                        sizes.append(len(a)) or np_eigh(a, *args, **kw))
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda a, *args, **kw:
+                        sizes.append(len(a)) or sc_eigh(a, *args, **kw))
+    g = Grid(*HELMHOLTZ_GRID)
+    AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g), SolverConfig(cfl=0.4, boundary="hold"))
+    radial, *axial = sorted(sizes, reverse=True)
+    assert radial == g.nr + 1
+    assert axial and max(axial) <= g.nz // 2 + 1
 
 
 # ---------------------------------------------------------------------------
@@ -725,7 +765,7 @@ def test_history_record_keeps_a_copy(grid16):
     hist = SnapshotHistory()
     hist.record(solver)
     kept = hist.snapshots[0]
-    assert kept.field is not solver.state and kept.pressure is not solver.pressure
+    assert kept.field is not solver.state
     np.testing.assert_array_equal(kept.field.vtheta, solver.state.vtheta)
     solver.state.vtheta[:] = 0.0
     assert np.any(kept.field.vtheta != 0.0)
@@ -759,21 +799,29 @@ def _second(arr: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(arr, -1, axis) - 2 * arr + np.roll(arr, 1, axis)) / h**2
 
 
-def mms_residual(history: SnapshotHistory, window: tuple[float, float] | None = None,
+class _Kept(list):
+    """The (t, field, pressure) of every state recorded, as an ``on_snapshot``
+    sink: the MMS oracle's history, which needs the pressures."""
+
+    def record(self, solver) -> None:
+        self.append((solver.t, solver.state.copy(), solver.pressure.copy()))
+
+
+def mms_residual(snaps: list, window: tuple[float, float] | None = None,
                  mu: float = 1.0, margin: int = 2) -> dict[str, dict[str, float]]:
-    """Oracle: per-equation residual norms of the momentum system on stored snapshots.
+    """Oracle: per-equation residual norms of the momentum system on the
+    time-ordered (t, field, pressure) triples ``snaps``.
 
     Time derivatives are centered over consecutive snapshots; spatial terms are
     centered second order, independent of the solver's stencils; norms are
     taken over interior nodes at least ``margin`` away from every boundary.
     Needs at least 3 snapshots in window.
     """
-    snaps = list(history)
     if window is not None:
-        snaps = [s for s in snaps if window[0] - 1e-14 <= s.t <= window[1] + 1e-14]
+        snaps = [s for s in snaps if window[0] - 1e-14 <= s[0] <= window[1] + 1e-14]
     if len(snaps) < 3:
         raise ValueError(f"need at least 3 snapshots for the time derivative, have {len(snaps)}")
-    g = snaps[0].field.grid
+    g = snaps[0][1].grid
     dr, dz = g.dr, g.dz
     w = volume_weights(g)
     sl = (slice(margin, -margin), slice(margin, -margin))
@@ -784,10 +832,8 @@ def mms_residual(history: SnapshotHistory, window: tuple[float, float] | None = 
     wsum = 0.0
 
     for k in range(1, len(snaps) - 1):
-        tm, t0, tp = snaps[k - 1].t, snaps[k].t, snaps[k + 1].t
+        (tm, fm, _), (t0, f0, p), (tp, fp, _) = snaps[k - 1: k + 2]
         hm, hp = t0 - tm, tp - t0
-        fm, f0, fp = snaps[k - 1].field, snaps[k].field, snaps[k + 1].field
-        p = snaps[k].pressure
 
         def dt_of(name: str) -> np.ndarray:
             am, a0, ap = getattr(fm, name), getattr(f0, name), getattr(fp, name)
@@ -821,11 +867,7 @@ def mms_residual(history: SnapshotHistory, window: tuple[float, float] | None = 
 
 
 def _analytic_history(grid, times, circ=1.0, nu=1.0):
-    hist = SnapshotHistory()
-    for t in times:
-        fld = lamb_oseen_field(circ, nu, t, grid)
-        hist.push(t, fld, np.zeros(grid.shape))
-    return hist
+    return [(t, lamb_oseen_field(circ, nu, t, grid), np.zeros(grid.shape)) for t in times]
 
 
 def test_mms_residual_needs_three_snapshots(grid16):
@@ -835,11 +877,11 @@ def test_mms_residual_needs_three_snapshots(grid16):
 
 
 def test_mms_residual_constant_axial_flow(grid16):
-    hist = SnapshotHistory()
+    hist = []
     for t in (0.0, 0.1, 0.2):
         fld = AxisymField.zeros(grid16)
         fld.vz[:] = 1.5
-        hist.push(t, fld, np.zeros(grid16.shape))
+        hist.append((t, fld, np.zeros(grid16.shape)))
     res = mms_residual(hist)
     for eq in ("vr", "vtheta", "vz", "div"):
         assert res[eq]["sup"] == 0.0
@@ -859,9 +901,9 @@ def test_mms_residual_analytic_snapshots_refine():
 def test_mms_residual_solver_snapshots_refine():
     norms = []
     for n in (32, 64):
-        hist = SnapshotHistory()
+        hist = _Kept()
         # 4 and 8 steps at the advective step, so the window holds 4 snapshots
         lamb_oseen_run(n, n, 0.2, r_max=4.0, z_half=4.0, snapshot_every=1, history=hist)
-        window = (hist.times[-4], hist.times[-1])
+        window = (hist[-4][0], hist[-1][0])
         norms.append(mms_residual(hist, window=window)["vtheta"]["l2"])
     assert norms[0] / norms[1] > 3.0
