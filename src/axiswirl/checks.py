@@ -118,17 +118,12 @@ def check_scaling_covariance(history: SnapshotHistory, solver: SolverConfig,
     snaps = history.snapshots[:3]
     g = snaps[0].field.grid
     zoom_grid = Grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
-    u0 = snaps[0].field
-    zoom = AxisymSolver(AxisymField(zoom_grid, lam * u0.vr, lam * u0.vtheta, lam * u0.vz),
-                        solver)
+    zoom = AxisymSolver(AxisymField(zoom_grid, lam * snaps[0].field.v), solver)
     worst = scale = 0.0
     for prev, snap in zip(snaps[:-1], snaps[1:]):
         zoom.step((snap.t - prev.t) / lam**2)
-        f = snap.field
-        for name in ("vr", "vtheta", "vz"):
-            diff = np.max(np.abs(lam * getattr(f, name) - getattr(zoom.state, name)))
-            worst = max(worst, float(diff))
-        scale = max(scale, lam * max_speed(f)[0])
+        worst = max(worst, float(np.max(np.abs(lam * snap.field.v - zoom.state.v))))
+        scale = max(scale, lam * max_speed(snap.field)[0])
     return _report("scaling_covariance", worst / scale if scale > 0 else 0.0, ZOOM_TOL,
                    steps=len(snaps) - 1)
 

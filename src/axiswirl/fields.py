@@ -1,9 +1,12 @@
 """Grids, axisymmetric velocity fields, interpolation, maxima scans and snapshot I/O.
 
-All fields live on a collocated node grid in the meridional (r, z) plane.
-The axis r = 0 is a grid line; radial/azimuthal components are odd across it,
-the axial component and pressure are even.  The solver's boundary conditions
-are the one place that sets the axis nodes.
+All fields live on a collocated node grid in the meridional (r, z) plane.  A
+velocity is one stacked array v of shape (3, nr+1, nz+1), v[0], v[1] and v[2]
+holding vr, vtheta and vz; operators that act on all components act on v,
+and the named components are views of it.  The axis r = 0 is a grid line;
+radial/azimuthal components are odd across it, the axial component and
+pressure are even.  The solver's boundary conditions are the one place that
+sets the axis nodes.
 """
 from __future__ import annotations
 
@@ -59,31 +62,35 @@ class Grid:
         return self.z_min + np.arange(self.nz + 1) * self.dz
 
 
+def _component(k: int) -> property:
+    """The read/write view v[k]: assigning to it writes into v."""
+    def put(self, value) -> None:
+        self.v[k] = value
+    return property(lambda self: self.v[k], put)
+
+
 @dataclass
 class AxisymField:
-    """Cylindrical velocity components (vr, vtheta, vz) on grid nodes."""
+    """Cylindrical velocity on grid nodes: ``v`` is a C-contiguous float64 array
+    of shape (3, nr+1, nz+1), and vr, vtheta and vz are read/write views of it."""
 
     grid: Grid
-    vr: np.ndarray
-    vtheta: np.ndarray
-    vz: np.ndarray
+    v: np.ndarray
+
+    vr, vtheta, vz = (_component(k) for k in range(3))
 
     @classmethod
     def zeros(cls, grid: Grid) -> "AxisymField":
-        return cls(grid, np.zeros(grid.shape), np.zeros(grid.shape), np.zeros(grid.shape))
+        return cls(grid, np.zeros((3, *grid.shape)))
 
     def copy(self) -> "AxisymField":
-        return AxisymField(self.grid, self.vr.copy(), self.vtheta.copy(), self.vz.copy())
+        return AxisymField(self.grid, self.v.copy())
 
     def speed(self) -> np.ndarray:
         return np.sqrt(self.vr**2 + self.vtheta**2 + self.vz**2)
 
     def is_finite(self) -> bool:
-        return bool(
-            np.all(np.isfinite(self.vr))
-            and np.all(np.isfinite(self.vtheta))
-            and np.all(np.isfinite(self.vz))
-        )
+        return bool(np.all(np.isfinite(self.v)))
 
 
 @dataclass
@@ -134,7 +141,7 @@ def sample_cartesian(fields, pts) -> tuple[np.ndarray, np.ndarray]:
     i0 = np.minimum(fi.astype(int), g.nr - 1)
     j0 = np.minimum(fj.astype(int), g.nz - 1)
     wi, wj = fi - i0, fj - j0
-    vals = np.array([(f.vr, f.vtheta, f.vz) for f in fields])  # (k, 3, nr+1, nz+1)
+    vals = np.array([f.v for f in fields])  # (k, 3, nr+1, nz+1)
     v00, v10 = vals[..., i0, j0], vals[..., i0 + 1, j0]
     v01, v11 = vals[..., i0, j0 + 1], vals[..., i0 + 1, j0 + 1]
     # incremental form: exact (bitwise) on constant data, since all the
@@ -185,6 +192,8 @@ def boundary_max(fld: AxisymField, speed=None) -> float:
 # z_max, t as little-endian f64, then row-major vr, vtheta, vz, p arrays.
 # ---------------------------------------------------------------------------
 
+SNAPSHOT_HEADER = struct.Struct("<4sI6d")
+
 def write_atomic(path, header: bytes, arrays) -> None:
     """Write ``header`` and then each array as little-endian f64 via
     ``<path>.part`` and a rename: a failed write leaves ``path`` as it was."""
@@ -203,28 +212,31 @@ def write_atomic(path, header: bytes, arrays) -> None:
 def write_snapshot(path, t: float, fld: AxisymField, pressure: np.ndarray) -> None:
     """Write a snapshot in the format above, atomically (write_atomic)."""
     g = fld.grid
-    header = SNAPSHOT_MAGIC + struct.pack(
-        "<I6d", SNAPSHOT_VERSION, float(g.nr), float(g.nz),
-        g.r_max, g.z_min, g.z_max, float(t),
-    )
-    write_atomic(path, header, (fld.vr, fld.vtheta, fld.vz, pressure))
+    header = SNAPSHOT_HEADER.pack(SNAPSHOT_MAGIC, SNAPSHOT_VERSION, float(g.nr), float(g.nz),
+                                  g.r_max, g.z_min, g.z_max, float(t))
+    write_atomic(path, header, (*fld.v, pressure))
 
 
 def read_snapshot(path) -> tuple[float, AxisymField, np.ndarray]:
+    """(t, field, pressure) of a snapshot file.  The header's node counts must be
+    whole numbers that give the file's size; both are checked before any array
+    is made."""
     with open(path, "rb") as fh:
-        got = fh.read(4)
-        if got != SNAPSHOT_MAGIC:
-            raise ValueError(f"bad snapshot magic {got!r} in {path}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(SNAPSHOT_HEADER.size)
+        if head[:4] != SNAPSHOT_MAGIC:
+            raise ValueError(f"bad snapshot magic {head[:4]!r} in {path}")
+        if len(head) < SNAPSHOT_HEADER.size:
+            raise ValueError(f"truncated snapshot file {path}")
+        _, version, nr_f, nz_f, r_max, z_min, z_max, t = SNAPSHOT_HEADER.unpack(head)
         if version != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {version}")
-        nr_f, nz_f, r_max, z_min, z_max, t = struct.unpack("<6d", fh.read(48))
-        grid = Grid(int(nr_f), int(nz_f), r_max, z_min, z_max)
-        n = (grid.nr + 1) * (grid.nz + 1)
-        arrs = []
-        for _ in range(4):
-            buf = fh.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ValueError(f"truncated snapshot file {path}")
-            arrs.append(np.frombuffer(buf, dtype="<f8").reshape(grid.shape).copy())
-    return t, AxisymField(grid, arrs[0], arrs[1], arrs[2]), arrs[3]
+        if not (nr_f.is_integer() and nz_f.is_integer()):
+            raise ValueError(f"snapshot file {path} has node counts {nr_f!r}, {nz_f!r}")
+        nr, nz = int(nr_f), int(nz_f)
+        size, want = os.fstat(fh.fileno()).st_size, len(head) + 32 * (nr + 1) * (nz + 1)
+        if size != want:
+            raise ValueError(f"{'truncated' if size < want else 'oversized'} snapshot file "
+                             f"{path}: {size} bytes where its header gives {want}")
+        grid = Grid(nr, nz, r_max, z_min, z_max)
+        data = np.frombuffer(fh.read(), dtype="<f8").reshape((4, *grid.shape))
+    return t, AxisymField(grid, data[:3].copy()), data[3].copy()

@@ -54,11 +54,9 @@ def lamb_oseen_field(circulation: float, nu: float, t_offset: float, grid: Grid)
     """Pure-swirl analytic solution sampled on the grid at time ``t_offset``."""
     if t_offset <= 0:
         raise ValueError(f"t_offset must be positive, got {t_offset}")
-    vtheta = np.repeat(
-        lamb_oseen_profile(grid.r, circulation, nu, t_offset)[:, None], grid.nz + 1, axis=1
-    )
-    z = np.zeros(grid.shape)
-    return AxisymField(grid, z.copy(), vtheta, z.copy())
+    fld = AxisymField.zeros(grid)
+    fld.vtheta = lamb_oseen_profile(grid.r, circulation, nu, t_offset)[:, None]
+    return fld
 
 
 def _ring_meridional(grid: Grid, amp: float, r_c: float, z_c: float,
@@ -88,10 +86,7 @@ def _scaled_to_n0(fld: AxisymField, n0: float) -> AxisymField:
     sup, l2, rsup = n0_norms(fld)
     worst = max(sup, l2, rsup)
     if worst > 0:
-        scale = n0 / worst
-        fld.vr *= scale
-        fld.vtheta *= scale
-        fld.vz *= scale
+        fld.v *= n0 / worst
     return fld
 
 
@@ -104,15 +99,13 @@ def vortex_ring_swirl(spec: DataSpec, grid: Grid) -> AxisymField:
     vr, vz, e = _ring_meridional(grid, spec.stream_amplitude, spec.ring_r, spec.ring_z,
                                  spec.core_radius)
     vtheta = spec.swirl_amplitude * (grid.r[:, None] / spec.ring_r) * e
-    return _scaled_to_n0(AxisymField(grid, vr, vtheta, vz), spec.n0)
+    return _scaled_to_n0(AxisymField(grid, np.stack([vr, vtheta, vz])), spec.n0)
 
 
 def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
     """Random smooth divergence-free data from a mode sum of ring stream functions."""
     rng = np.random.default_rng(spec.seed)
-    vr = np.zeros(grid.shape)
-    vz = np.zeros(grid.shape)
-    vtheta = np.zeros(grid.shape)
+    fld = AxisymField.zeros(grid)
     r_lo, r_hi = 0.25 * grid.r_max, 0.75 * grid.r_max
     z_span = grid.z_max - grid.z_min
     for _ in range(spec.modes):
@@ -121,10 +114,10 @@ def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
         delta = rng.uniform(0.08, 0.2) * grid.r_max
         amp = rng.normal()
         dvr, dvz, e = _ring_meridional(grid, amp, r_c, z_c, delta)
-        vr += dvr
-        vz += dvz
-        vtheta += rng.normal() * (grid.r[:, None] / r_c) * e
-    return _scaled_to_n0(AxisymField(grid, vr, vtheta, vz), spec.n0)
+        fld.vr += dvr
+        fld.vz += dvz
+        fld.vtheta += rng.normal() * (grid.r[:, None] / r_c) * e
+    return _scaled_to_n0(fld, spec.n0)
 
 
 def generate(spec: DataSpec, grid: Grid) -> AxisymField:

@@ -146,12 +146,11 @@ def momentum_rhs(state: AxisymField) -> AxisymField:
     g = state.grid
     rinv = np.r_[0.0, 1.0 / g.r[1:]][:, None]
     split = upwind_split(state)
-    return AxisymField(
-        g,
-        -advect(state, state.vr, -1, split) + state.vtheta**2 * rinv,
-        -advect(state, state.vtheta, -1, split) - state.vr * state.vtheta * rinv,
-        -advect(state, state.vz, 1, split),
-    )
+    out = AxisymField(g, np.empty((3, *g.shape)))
+    out.vr = -advect(state, state.vr, -1, split) + state.vtheta**2 * rinv
+    out.vtheta = -advect(state, state.vtheta, -1, split) - state.vr * state.vtheta * rinv
+    out.vz = -advect(state, state.vz, 1, split)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +190,8 @@ def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
 
 def divergence(D: sp.csr_matrix, fld: AxisymField) -> np.ndarray:
     """The nodal divergence of ``fld``: D from build_divergence_matrix applied
-    to the stacked [vr; vz]."""
-    return (D @ np.concatenate([fld.vr.ravel(), fld.vz.ravel()])).reshape(fld.grid.shape)
+    to fld.v[::2], which stacks [vr; vz] in D's column order."""
+    return (D @ fld.v[::2].ravel()).reshape(fld.grid.shape)
 
 
 def volume_weights(g: Grid) -> np.ndarray:
@@ -255,17 +254,11 @@ class ProjectionOperator:
         self.grid = grid
         self.tol = tol
         nz = grid.nz
-        npts = (grid.nr + 1) * (nz + 1)
-        self._npts = npts
         self.D = build_divergence_matrix(grid)
-        w = volume_weights(grid)
-        free_vr = np.zeros(grid.shape, bool)
-        free_vr[1:-1, 1:-1] = True
-        free_vz = np.zeros(grid.shape, bool)
-        free_vz[:-1, 1:-1] = True
-        self._mask = np.concatenate([free_vr.ravel(), free_vz.ravel()])
-        self._wp = w.ravel()
-        self._wu = np.concatenate([self._wp, self._wp])
+        self._w = w = volume_weights(grid)
+        # the nodes of [vr; vz] (v[::2]) that the projection moves
+        self._free = np.zeros((2, *grid.shape), bool)
+        self._free[0, 1:-1, 1:-1] = self._free[1, :-1, 1:-1] = True
         Ar, Az = (A[:, 1:-1] for A in divergence_operators(grid))
         wr = w[:, 1]  # an inner z column: the radial weights times dr dz
         Kr = (Ar / wr[1:-1]) @ Ar.T
@@ -290,9 +283,10 @@ class ProjectionOperator:
         if div_norm < self.tol:
             return u_star.copy(), np.zeros(g.shape)
         s = self._inverse(div / dt)
-        grad = np.divide(self.D.T @ s, self._wu, out=np.zeros(2 * self._npts), where=self._mask)
-        out = AxisymField(g, u_star.vr - dt * grad[: self._npts].reshape(g.shape),
-                          u_star.vtheta.copy(), u_star.vz - dt * grad[self._npts:].reshape(g.shape))
+        grad = np.divide((self.D.T @ s).reshape(self._free.shape), self._w,
+                         out=np.zeros(self._free.shape), where=self._free)
+        out = u_star.copy()
+        out.v[::2] -= dt * grad
         left = float(np.linalg.norm(divergence(self.D, out)))
         if left > self.tol:
             raise PoissonError(
@@ -300,7 +294,7 @@ class ProjectionOperator:
                 f"(residual {left / div_norm:.3e})",
                 left / div_norm,
             )
-        return out, (-s / self._wp).reshape(g.shape)
+        return out, -s.reshape(g.shape) / self._w
 
 
 # ---------------------------------------------------------------------------
@@ -374,21 +368,19 @@ class HelmholtzSolver:
         if neumann_swirl:
             ends = np.r_[Z[0, 0], np.zeros(grid.nz - 3), Z[-1, -1]]
             neumann = _diagonalise(Z[:, 1:-1] + sp.diags(ends), ones)
-        # per component: radial operator, first unknown row, radial and axial decompositions
-        self._ops = {"vr": (swirl, 1, radial_swirl, dirichlet),
-                     "vtheta": (swirl, 1, radial_swirl, neumann),
-                     "vz": (plain, 0, radial_plain, dirichlet)}
-        # per component: L's couplings of the last unknown row to r_max and of the
-        # end unknown columns to the z ends (folded into vtheta's operator if Neumann)
-        self._edges = {name: (R[-1, -1], 0.0 if neumann_swirl and name == "vtheta" else Z[0, 0])
-                       for name, (R, *_) in self._ops.items()}
+        # per component of v: radial operator, first unknown row, radial and axial
+        # decompositions, and L's couplings of the last unknown row to r_max and of
+        # the end unknown columns to the z ends (folded into vtheta's operator if Neumann)
+        self._ops = ((swirl, 1, radial_swirl, dirichlet, swirl[-1, -1], Z[0, 0]),
+                     (swirl, 1, radial_swirl, neumann, swirl[-1, -1],
+                      0.0 if neumann_swirl else Z[0, 0]),
+                     (plain, 0, radial_plain, dirichlet, plain[-1, -1], Z[0, 0]))
 
     def laplacian(self, fld: AxisymField) -> AxisymField:
         """L applied to every component; zero on the boundary nodes it does not reach."""
         out = AxisymField.zeros(fld.grid)
-        for name, (R, lo, _, _) in self._ops.items():
-            x = getattr(fld, name)
-            getattr(out, name)[lo:-1, 1:-1] = (R @ x)[:, 1:-1] + (self._Z @ x[lo:-1].T).T
+        for x, lx, (R, lo, *_) in zip(fld.v, out.v, self._ops):
+            lx[lo:-1, 1:-1] = (R @ x)[:, 1:-1] + (self._Z @ x[lo:-1].T).T
         return out
 
     def solve(self, rhs: AxisymField, bounded: AxisymField, c: float) -> AxisymField:
@@ -397,14 +389,14 @@ class HelmholtzSolver:
         on the vr and vtheta axis rows.  The other fixed values enter through L's
         couplings of the unknowns next to them: the last row and the end columns."""
         out = bounded.copy()
-        for name, (_, lo, (vr_, wr, lr), (vz_, wz, lz)) in self._ops.items():
-            (up_r, end_z), x = self._edges[name], getattr(bounded, name)
+        for f, x, u, (_, lo, (vr_, wr, lr), (vz_, wz, lz), up_r, end_z) in zip(
+                rhs.v, bounded.v, out.v, self._ops):
             unk = (slice(lo, -1), slice(1, -1))
-            b = getattr(rhs, name)[unk].copy()
+            b = f[unk].copy()
             b[-1] += c * up_r * x[-1, 1:-1]
             b[:, [0, -1]] += c * end_z * x[unk[0], [0, -1]]
             y = (vr_.T @ (wr[:, None] * b * wz) @ vz_) / (1.0 - c * (lr[:, None] + lz))
-            getattr(out, name)[unk] = vr_ @ y @ vz_.T
+            u[unk] = vr_ @ y @ vz_.T
         return out
 
 
@@ -415,8 +407,7 @@ DELTA = 1.0 - 1.0 / (2.0 * GAMMA)
 
 def _combine(*terms: tuple[float, AxisymField]) -> AxisymField:
     """The linear combination sum(a * field) of velocity fields."""
-    return AxisymField(terms[0][1].grid, *(
-        sum(a * getattr(f, name) for a, f in terms) for name in ("vr", "vtheta", "vz")))
+    return AxisymField(terms[0][1].grid, sum(a * f.v for a, f in terms))
 
 
 @dataclass
@@ -447,10 +438,9 @@ class AxisymSolver:
         self.pressure = np.zeros(self.grid.shape)
         self._held = None
         if config.boundary == "hold":
-            # per component: the r = r_max row and the z_min and z_max columns
-            self._held = {name: (a[-1, :].copy(), a[:, 0].copy(), a[:, -1].copy())
-                          for name, a in (("vr", initial.vr), ("vtheta", initial.vtheta),
-                                          ("vz", initial.vz))}
+            # the r = r_max row of every component, the z_min and z_max columns of vr and vz
+            v = initial.v
+            self._held = (v[:, -1, :].copy(), v[::2, :, 0].copy(), v[::2, :, -1].copy())
         # clean the initial divergence so every reported state is projected
         self.state, _ = self.projection.project(self._apply_bcs(initial), 1.0)
 
@@ -458,20 +448,16 @@ class AxisymSolver:
         """A copy of ``fld`` with the far-field nodes set by the boundary mode,
         then vr and vtheta zero on the axis; vz's axis row is an unknown."""
         out = fld.copy()
+        v = out.v
         if self._held is None:
-            for arr in (out.vr, out.vtheta, out.vz):
-                arr[-1, :] = 0.0
-                arr[:, 0] = 0.0
-                arr[:, -1] = 0.0
+            v[:, -1, :] = v[:, :, 0] = v[:, :, -1] = 0.0
         else:
-            for name, arr in (("vr", out.vr), ("vz", out.vz)):
-                arr[-1, :], arr[:, 0], arr[:, -1] = self._held[name]
+            v[:, -1, :], v[::2, :, 0], v[::2, :, -1] = self._held
             # swirl: hold the lateral profile, zero normal gradient in z so a
             # z-independent far field can keep decaying in time
-            out.vtheta[-1, :] = self._held["vtheta"][0]
             out.vtheta[:, 0] = out.vtheta[:, 1]
             out.vtheta[:, -1] = out.vtheta[:, -2]
-        out.vr[0, :] = out.vtheta[0, :] = 0.0
+        v[:2, 0, :] = 0.0
         return out
 
     def current_dt(self) -> float:

@@ -200,12 +200,11 @@ def test_scaling_covariance_fails_on_a_curvature_term_of_the_wrong_dimension(gri
         rinv = np.zeros(g.nr + 1)
         rinv[1:] = 1.0 / g.r[1:]
         rinv = rinv[:, None]
-        return AxisymField(
-            g,
+        return AxisymField(g, np.stack([
             -advect(state, state.vr, parity=-1) + state.vtheta**2 * rinv**2,
             -advect(state, state.vtheta, parity=-1) - state.vr * state.vtheta * rinv,
             -advect(state, state.vz, parity=1),
-        )
+        ]))
 
     monkeypatch.setattr(axiswirl.solver, "momentum_rhs", wrong)
     hist = _ring_history(grid32)

@@ -171,6 +171,21 @@ def test_microscope_dump_removes_cubes_of_an_earlier_run(tmp_path):
         [f"cube_{k:04d}.bin" for k in range(rows)]
 
 
+def test_microscope_on_a_corrupted_snapshot_is_an_error(tmp_path, capsys):
+    # a header whose node count no file of its size can hold: one error line, no traceback
+    out = tmp_path / "out"
+    cfg = _small_ring_config(tmp_path, out)
+    assert main(["simulate", "--config", cfg]) == 0
+    last = sorted(out.glob("snap_*.bin"))[-1]
+    data = bytearray(last.read_bytes())
+    data[8:16] = np.float64(1e13).tobytes()
+    last.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["microscope", "--config", cfg, "--snapshots", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(last) in err[0]
+
+
 def test_microscope_fault_is_not_swallowed(tmp_path, monkeypatch, capsys):
     # a ValueError out of the closeness measurement is a fault, not a
     # candidate to skip: the command fails instead of writing fewer rows

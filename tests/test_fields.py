@@ -1,4 +1,6 @@
 """Grid construction, the solver's axis conditions, divergence, reconstruction, maxima, I/O."""
+import struct
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,31 @@ def test_grid_nodes_include_axis_and_extents():
     assert g.r[0] == 0.0 and g.r[-1] == pytest.approx(2.5)
     assert g.z[0] == -1.0 and g.z[-1] == pytest.approx(2.0)
     assert g.shape == (11, 13)
+
+
+# ---------------------------------------------------------------------------
+# the stacked layout
+# ---------------------------------------------------------------------------
+
+def test_named_components_write_into_the_stacked_array(grid16):
+    fld = AxisymField.zeros(grid16)
+    fld.vr[2, 3] = 1.5
+    fld.vtheta = np.full(grid16.shape, 2.0)
+    fld.vz[:] = 3.0
+    fld.vz *= 0.5
+    want = np.zeros((3, *grid16.shape))
+    want[0, 2, 3], want[1], want[2] = 1.5, 2.0, 1.5
+    np.testing.assert_array_equal(fld.v, want)
+    for k, name in enumerate(("vr", "vtheta", "vz")):
+        assert np.shares_memory(getattr(fld, name), fld.v[k])
+
+
+def test_copy_shares_no_memory(ring_field):
+    dup = ring_field.copy()
+    assert not np.shares_memory(dup.v, ring_field.v)
+    np.testing.assert_array_equal(dup.v, ring_field.v)
+    dup.vtheta[1, 1] += 1.0
+    assert dup.vtheta[1, 1] != ring_field.vtheta[1, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -391,3 +418,31 @@ def test_snapshot_truncation_detected(tmp_path, grid16):
     path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError, match="truncated"):
         read_snapshot(path)
+
+
+def test_read_snapshot_gives_an_owned_stacked_array(tmp_path, ring_field):
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, 0.0, ring_field, np.zeros(ring_field.grid.shape))
+    _, fld, p = read_snapshot(path)
+    assert fld.v.shape == (3, *ring_field.grid.shape) and fld.v.dtype == np.float64
+    assert fld.v.flags.c_contiguous and fld.v.flags.owndata and fld.v.flags.writeable
+    assert not np.shares_memory(fld.v, p)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda data: struct.pack_into("<d", data, 8, 1e13), "truncated"),
+    (lambda data: struct.pack_into("<d", data, 8, float("inf")), "node counts"),
+    (lambda data: struct.pack_into("<d", data, 8, 16.5), "node counts"),
+    (lambda data: data.extend(bytes(100)), "oversized"),
+], ids=["nr=1e13", "nr=inf", "nr=16.5", "trailing-bytes"])
+def test_snapshot_header_is_checked_against_the_file(tmp_path, grid16, corrupt, message):
+    # each corruption fails on the header and the file's size, before any
+    # array the header asks for is allocated
+    path = tmp_path / "snap.bin"
+    write_snapshot(path, 0.0, AxisymField.zeros(grid16), np.zeros(grid16.shape))
+    data = bytearray(path.read_bytes())
+    corrupt(data)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ValueError, match=message) as exc:
+        read_snapshot(path)
+    assert str(path) in str(exc.value)

@@ -1,4 +1,5 @@
-"""Source hygiene: production code that only tests use is deleted, and no type shadows another."""
+"""Source hygiene: production code that only tests use is deleted, no type shadows another,
+and the velocity's component layout has one home."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -34,3 +35,15 @@ def test_no_two_dataclasses_declare_the_same_fields():
                 fields.setdefault(names, []).append(f"{path.name}:{node.name}")
     shadows = [homes for homes in fields.values() if len(homes) > 1]
     assert not shadows, "dataclasses with the same fields: " + "; ".join(map(", ".join, shadows))
+
+
+def test_only_fields_names_the_velocity_components():
+    # every other module acts on the stacked array or reads the named views;
+    # a component keyed by its name string lays the velocity out again
+    names = {"vr", "vtheta", "vz"}
+    found = [f"{path.name}:{node.lineno} {node.value!r}"
+             for path in sorted(SRC.glob("*.py")) if path.name != "fields.py"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value in names]
+    assert not found, "velocity components named outside fields.py: " + ", ".join(found)
