@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -36,10 +37,14 @@ class Grid:
     def __post_init__(self):
         if self.nr < 8 or self.nz < 8:
             raise ValueError(f"grid counts too small: nr={self.nr}, nz={self.nz} (minimum 8)")
-        if self.r_max <= 0:
-            raise ValueError(f"r_max must be positive, got {self.r_max}")
-        if self.z_max <= self.z_min:
-            raise ValueError(f"need z_max > z_min, got [{self.z_min}, {self.z_max}]")
+        if not 0 < self.r_max < np.inf:
+            raise ValueError(f"r_max must be positive and finite, got {self.r_max}")
+        if not -np.inf < self.z_min < self.z_max < np.inf:
+            raise ValueError(f"need z_max > z_min, both finite, got [{self.z_min}, {self.z_max}]")
+        # the viscous operators scale as 1/h^2, which must be a finite number
+        for key, h in (("r_max", self.dr), ("z_max - z_min", self.dz)):
+            if not (h < np.inf and h * h >= 1.0 / sys.float_info.max):
+                raise ValueError(f"{key} gives a spacing {h!r} out of range: 1/h^2 must be finite")
 
     @property
     def dr(self) -> float:
@@ -229,7 +234,7 @@ def read_snapshot(path) -> tuple[float, AxisymField, np.ndarray]:
             raise ValueError(f"truncated snapshot file {path}")
         _, version, nr_f, nz_f, r_max, z_min, z_max, t = SNAPSHOT_HEADER.unpack(head)
         if version != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
+            raise ValueError(f"unsupported snapshot version {version} in {path}")
         if not (nr_f.is_integer() and nz_f.is_integer()):
             raise ValueError(f"snapshot file {path} has node counts {nr_f!r}, {nz_f!r}")
         nr, nz = int(nr_f), int(nz_f)
@@ -237,6 +242,9 @@ def read_snapshot(path) -> tuple[float, AxisymField, np.ndarray]:
         if size != want:
             raise ValueError(f"{'truncated' if size < want else 'oversized'} snapshot file "
                              f"{path}: {size} bytes where its header gives {want}")
-        grid = Grid(nr, nz, r_max, z_min, z_max)
+        try:
+            grid = Grid(nr, nz, r_max, z_min, z_max)
+        except ValueError as exc:
+            raise ValueError(f"snapshot file {path}: {exc}") from exc
         data = np.frombuffer(fh.read(), dtype="<f8").reshape((4, *grid.shape))
     return t, AxisymField(grid, data[:3].copy()), data[3].copy()

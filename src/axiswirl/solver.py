@@ -4,15 +4,16 @@ IMEX Runge-Kutta (Ascher, Ruuth & Spiteri 1997, the L-stable (2,2,2) scheme):
 advection and the curvature terms are explicit, the viscous terms implicit,
 with a pressure projection after each stage.  The implicit solves are exact:
 each viscous operator is a sum of a radial and an axial 1D operator, both
-tridiagonal and diagonalised once per grid by a tridiagonal eigensolver (Lynch,
-Rice & Thomas 1964).  With no viscous stability limit, dt is set by the
-advective CFL alone.  The projection uses the discrete-adjoint gradient of the
-divergence operator, so the post-projection divergence equals the Poisson
-solve residual (times the stage's time increment) at every node, boundary rows
-included.  Its pressure operator is diagonalised from two dense generalised
-eigenproblems (the axial one split in two by z-reversal), so the pressure
-solve is one application of its exact inverse: no factor is stored, and no
-state is kept from one projection to the next.
+tridiagonal, diagonalised once per grid (Lynch, Rice & Thomas 1964): the radial
+ones by a tridiagonal eigensolver, the axial ones by sine and cosine bases in
+closed form.  With no viscous stability limit, dt is set by the advective CFL
+alone.  The projection uses the adjoint D^T of the divergence D (both applied
+from D's sparse 1D factors), so the post-projection divergence equals the
+Poisson solve residual (times the stage's time increment) at every node,
+boundary rows included.  Its pressure operator is diagonalised from two dense
+generalised eigenproblems (the axial one split in two by z-reversal), so the
+pressure solve is one application of its exact inverse: no factor is stored,
+and no state is kept from one projection to the next.
 
 Axis terms (1/r, 1/r^2) are handled by parity ghosts; r is never clamped.
 The boundary conditions own the axis: vr and vtheta vanish there, and vz's
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.sparse._sparsetools import csr_matvecs
 
 from .fields import (
     AxisymField,
@@ -176,22 +178,44 @@ def divergence_operators(g: Grid) -> tuple[np.ndarray, np.ndarray]:
     return Ar, Az
 
 
-def build_divergence_matrix(g: Grid) -> sp.csr_matrix:
-    """Sparse matrix D of the discrete divergence acting on stacked [vr, vz]
-    nodes: D = [Ar (x) I_z, I_r (x) Az] from divergence_operators, as canonical
-    CSR (sorted column indices, no duplicates)."""
-    Ar, Az = divergence_operators(g)
-    I_r, I_z = sp.eye(g.nr + 1, format="csr"), sp.eye(g.nz + 1, format="csr")
-    D = sp.hstack([sp.kron(Ar, I_z, format="csr"), sp.kron(I_r, Az, format="csr")],
-                  format="csr")
-    D.sort_indices()
-    return D
+def _product(A: sp.csr_array, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out + A @ X for a CSR A and a 2D X (out zero if not given, else C-contiguous
+    and updated in place) by scipy's CSR kernel: on a 33² grid, the dispatch of
+    ``A @ X`` costs as much as the product."""
+    out = np.zeros((A.shape[0], X.shape[1])) if out is None else out
+    csr_matvecs(*A.shape, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+    return out
 
 
-def divergence(D: sp.csr_matrix, fld: AxisymField) -> np.ndarray:
+class DivergenceMatrix:
+    """D = [Ar (x) I_z, I_r (x) Az] on the stacked [vr; vz] nodes, applied from
+    its CSR 1D factors and never assembled: D @ x = Ar vr + (Az vz^T)^T for
+    x = [vr; vz], and D.T @ s = [Ar^T S; (Az^T S^T)^T] for s = S, both flat.
+    D.T is the same class over the transposed factors, with no .T of its own."""
+
+    def __init__(self, Ar: sp.csr_array, Az: sp.csr_array, adjoint: bool = False):
+        self.Ar, self.Az, self._adjoint = Ar, Az, adjoint
+        self._nodes = (Ar.shape[0], Az.shape[0])
+        self.T = None if adjoint else DivergenceMatrix(Ar.T.tocsr(), Az.T.tocsr(), True)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if self._adjoint:
+            S = x.reshape(self._nodes)
+            return np.stack([_product(self.Ar, S), _product(self.Az, S.T).T]).ravel()
+        x = x.reshape(2, *self._nodes)
+        return _product(self.Ar, x[0], _product(self.Az, x[1].T).T.copy()).ravel()
+
+
+def build_divergence_matrix(g: Grid) -> DivergenceMatrix:
+    """The discrete divergence D on stacked [vr, vz] nodes, from the factors of
+    divergence_operators."""
+    return DivergenceMatrix(*map(sp.csr_array, divergence_operators(g)))
+
+
+def divergence(D: DivergenceMatrix, fld: AxisymField) -> np.ndarray:
     """The nodal divergence of ``fld``: D from build_divergence_matrix applied
     to fld.v[::2], which stacks [vr; vz] in D's column order."""
-    return (D @ fld.v[::2].ravel()).reshape(fld.grid.shape)
+    return (D @ fld.v[::2]).reshape(fld.grid.shape)
 
 
 def volume_weights(g: Grid) -> np.ndarray:
@@ -247,7 +271,7 @@ class ProjectionOperator:
     ``tol`` bounds the divergence of the projected field in the 2-norm, and so
     at every node: the remaining divergence is dt times the residual of the
     solve, and a projection that leaves more raises PoissonError.  ``D`` is
-    the divergence matrix; the diagnostics apply it too.
+    the divergence, whose factors give Kr and Kz; the diagnostics apply it too.
     """
 
     def __init__(self, grid: Grid, tol: float = SolverConfig.projection_tol):
@@ -259,10 +283,10 @@ class ProjectionOperator:
         # the nodes of [vr; vz] (v[::2]) that the projection moves
         self._free = np.zeros((2, *grid.shape), bool)
         self._free[0, 1:-1, 1:-1] = self._free[1, :-1, 1:-1] = True
-        Ar, Az = (A[:, 1:-1] for A in divergence_operators(grid))
+        Ar, Az = self.D.Ar[:, 1:-1], self.D.Az[:, 1:-1]
         wr = w[:, 1]  # an inner z column: the radial weights times dr dz
-        Kr = (Ar / wr[1:-1]) @ Ar.T
-        Kz = Az @ Az.T
+        Kr = (Ar @ sp.diags_array(1.0 / wr[1:-1]) @ Ar.T).toarray()
+        Kz = (Az @ Az.T).toarray()
         phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
         theta, self._Vz = _mirror_eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
         lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta
@@ -329,6 +353,24 @@ def _axial_operator(g: Grid) -> sp.csr_matrix:
     return sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n, n + 2), format="csr") / g.dz**2
 
 
+def _axial_basis(g: Grid, neumann: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, w, lam) as _diagonalise gives them for L's axial block, d_zz on the n =
+    nz-1 unknown columns, in closed form (Strang 1999): with Dirichlet ends the
+    sine vectors sqrt(2/nz) sin(pi (j+1)(k+1)/nz), with Neumann-folded ends the
+    DCT-II vectors cos(pi k (j+1/2)/n), normalised; read from a table over one
+    period at angles reduced in integers."""
+    n, j, k = g.nz - 1, np.arange(g.nz - 1)[:, None], np.arange(g.nz - 1)
+    if neumann:
+        table = np.cos(np.pi * np.arange(4 * n) / (2 * n))
+        V = table[k * (2 * j + 1) % (4 * n)] * np.sqrt(np.where(k, 2.0, 1.0) / n)
+        theta = np.pi * k / (2 * n)
+    else:
+        table = np.sqrt(2.0 / g.nz) * np.sin(np.pi * np.arange(2 * g.nz) / g.nz)
+        V = table[(j + 1) * (k + 1) % (2 * g.nz)]
+        theta = np.pi * (k + 1) / (2 * g.nz)
+    return V, np.ones(n), -4.0 / g.dz**2 * np.sin(theta) ** 2
+
+
 def _diagonalise(A: sp.csr_matrix, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(V, w, lam) with A = V diag(lam) V^-1 and V^-1 = V^T diag(w), for a
     tridiagonal A symmetric under the weights w (diag(w) A symmetric): from the
@@ -352,8 +394,9 @@ class HelmholtzSolver:
     columns onto those neighbours.  With the blocks R = V_r diag(lr) V_r^-1 and
     Z = V_z diag(lz) V_z^-1 the solve is
     X = V_r [(V_r^-1 B V_z^-T) / (1 - c (lr_i + lz_j))] V_z^T.  The blocks are
-    tridiagonal, decomposed once, at construction, by a tridiagonal eigensolver
-    (_diagonalise); only the denominator depends on c.
+    tridiagonal, decomposed once, at construction: the radial ones by a
+    tridiagonal eigensolver (_diagonalise), the axial ones in closed form
+    (_axial_basis); only the denominator depends on c.
     """
 
     def __init__(self, grid: Grid, neumann_swirl: bool):
@@ -363,11 +406,8 @@ class HelmholtzSolver:
         radial_swirl = _diagonalise(swirl[:, 1:-1], w[1:-1])
         radial_plain = _diagonalise(plain[:, :-1], w[:-1])
         self._Z = Z = _axial_operator(grid)
-        ones = np.ones(grid.nz - 1)
-        dirichlet = neumann = _diagonalise(Z[:, 1:-1], ones)
-        if neumann_swirl:
-            ends = np.r_[Z[0, 0], np.zeros(grid.nz - 3), Z[-1, -1]]
-            neumann = _diagonalise(Z[:, 1:-1] + sp.diags(ends), ones)
+        dirichlet = _axial_basis(grid, neumann=False)
+        neumann = _axial_basis(grid, neumann=True) if neumann_swirl else dirichlet
         # per component of v: radial operator, first unknown row, radial and axial
         # decompositions, and L's couplings of the last unknown row to r_max and of
         # the end unknown columns to the z ends (folded into vtheta's operator if Neumann)

@@ -429,12 +429,21 @@ def test_read_snapshot_gives_an_owned_stacked_array(tmp_path, ring_field):
     assert not np.shares_memory(fld.v, p)
 
 
+def _four_by_four(data):
+    """Node counts nr = nz = 4, below the minimum, with the file cut to match them."""
+    struct.pack_into("<2d", data, 8, 4.0, 4.0)
+    del data[56 + 32 * 25:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (lambda data: struct.pack_into("<d", data, 8, 1e13), "truncated"),
     (lambda data: struct.pack_into("<d", data, 8, float("inf")), "node counts"),
     (lambda data: struct.pack_into("<d", data, 8, 16.5), "node counts"),
     (lambda data: data.extend(bytes(100)), "oversized"),
-], ids=["nr=1e13", "nr=inf", "nr=16.5", "trailing-bytes"])
+    (lambda data: struct.pack_into("<I", data, 4, 2), "unsupported snapshot version 2"),
+    (_four_by_four, "grid counts too small"),
+    (lambda data: struct.pack_into("<d", data, 24, float("nan")), "r_max must be positive"),
+], ids=["nr=1e13", "nr=inf", "nr=16.5", "trailing-bytes", "version=2", "nr=nz=4", "r_max=nan"])
 def test_snapshot_header_is_checked_against_the_file(tmp_path, grid16, corrupt, message):
     # each corruption fails on the header and the file's size, before any
     # array the header asks for is allocated
