@@ -47,7 +47,11 @@ def _fmt(x) -> str:
 
 
 def _load_config(path: str) -> RunConfig:
-    return parse_config(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+    return parse_config(text)
 
 
 def _snapshot_paths(directory: Path) -> list[Path]:

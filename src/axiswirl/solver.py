@@ -8,7 +8,7 @@ tridiagonal, diagonalised once per grid (Lynch, Rice & Thomas 1964): the radial
 ones by a tridiagonal eigensolver, the axial ones by sine and cosine bases in
 closed form.  With no viscous stability limit, dt is set by the advective CFL
 alone.  The projection uses the adjoint D^T of the divergence D (both applied
-from D's sparse 1D factors), so the post-projection divergence equals the
+from D's 1D factors), so the post-projection divergence equals the
 Poisson solve residual (times the stage's time increment) at every node,
 boundary rows included.  Its pressure operator is diagonalised from two dense
 generalised eigenproblems (the axial one split in two by z-reversal), so the
@@ -23,10 +23,10 @@ stencils take its even-parity limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 from scipy.sparse._sparsetools import csr_matvecs
 
 from .fields import (
@@ -159,29 +159,56 @@ def momentum_rhs(state: AxisymField) -> AxisymField:
 # divergence matrix, weights and the projection operator
 # ---------------------------------------------------------------------------
 
-def divergence_operators(g: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """The 1D factors of the divergence, as dense matrices: Ar = d_r + 1/r on
-    the nr+1 radial nodes, whose axis row is the limit 2 d_r of an odd vr, and
-    Az = d_z on the nz+1 axial nodes.  Centred in the interior, second-order
-    one-sided at the outer ends."""
+class Csr(NamedTuple):
+    """A sparse matrix as the index arrays of its compressed rows: row i holds
+    data[indptr[i]:indptr[i+1]] in the columns indices[indptr[i]:indptr[i+1]].
+    Each 1D operator is one, built once per grid and applied by _product."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    @classmethod
+    def banded(cls, band: np.ndarray, lo: int, ncols: int) -> Csr:
+        """The matrix with ``ncols`` columns whose row i holds band[i, k] in
+        column i + lo + k.  Zeros of band are not stored; band is zero wherever
+        that column lies outside the matrix."""
+        rows, k = np.nonzero(band)  # row-major: by row, then by column
+        indptr = np.searchsorted(rows, np.arange(len(band) + 1))
+        return cls(indptr, rows + lo + k, band[rows, k], (len(band), ncols))
+
+    @property
+    def T(self) -> Csr:
+        """The transpose, each row's columns in increasing order."""
+        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        order = np.argsort(self.indices, kind="stable")
+        indptr = np.searchsorted(self.indices[order], np.arange(self.shape[1] + 1))
+        return Csr(indptr, rows[order], self.data[order], self.shape[::-1])
+
+
+def divergence_operators(g: Grid) -> tuple[Csr, Csr]:
+    """The 1D factors of the divergence: Ar = d_r + 1/r on the nr+1 radial
+    nodes, whose axis row is the limit 2 d_r of an odd vr, and Az = d_z on the
+    nz+1 axial nodes.  Centred in the interior, second-order one-sided at the
+    outer ends."""
     def d1(n: int, h: float) -> np.ndarray:
-        A = (np.eye(n + 1, k=1) - np.eye(n + 1, k=-1)) / (2 * h)
-        A[0, :3] = np.array([-3.0, 4.0, -1.0]) / (2 * h)
-        A[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2 * h)
-        return A
+        band = np.zeros((n + 1, 5))  # row i: the coefficients of columns i-2 .. i+2
+        band[:, 1], band[:, 3] = -1.0 / (2 * h), 1.0 / (2 * h)
+        band[0] = np.array([0.0, 0.0, -3.0, 4.0, -1.0]) / (2 * h)
+        band[-1] = np.array([1.0, -4.0, 3.0, 0.0, 0.0]) / (2 * h)
+        return band
 
     Ar, Az = d1(g.nr, g.dr), d1(g.nz, g.dz)
-    Ar[0, :3] = [0.0, 2.0 / g.dr, 0.0]
+    Ar[0] = [0.0, 0.0, 0.0, 2.0 / g.dr, 0.0]
     i = np.arange(1, g.nr)
-    Ar[i, i] = 1.0 / (i * g.dr)
-    Ar[-1, -1] += 1.0 / (g.nr * g.dr)
-    return Ar, Az
+    Ar[i, 2] = 1.0 / (i * g.dr)
+    Ar[-1, 2] += 1.0 / (g.nr * g.dr)
+    return Csr.banded(Ar, -2, g.nr + 1), Csr.banded(Az, -2, g.nz + 1)
 
 
-def _product(A: sp.csr_array, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """out + A @ X for a CSR A and a 2D X (out zero if not given, else C-contiguous
-    and updated in place) by scipy's CSR kernel: on a 33² grid, the dispatch of
-    ``A @ X`` costs as much as the product."""
+def _product(A: Csr, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out + A @ X for a 2D X (out zero if not given, else C-contiguous and
+    updated in place) by scipy's private CSR kernel, the one its ``A @ X`` calls."""
     out = np.zeros((A.shape[0], X.shape[1])) if out is None else out
     csr_matvecs(*A.shape, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
     return out
@@ -189,14 +216,14 @@ def _product(A: sp.csr_array, X: np.ndarray, out: np.ndarray | None = None) -> n
 
 class DivergenceMatrix:
     """D = [Ar (x) I_z, I_r (x) Az] on the stacked [vr; vz] nodes, applied from
-    its CSR 1D factors and never assembled: D @ x = Ar vr + (Az vz^T)^T for
+    its 1D factors and never assembled: D @ x = Ar vr + (Az vz^T)^T for
     x = [vr; vz], and D.T @ s = [Ar^T S; (Az^T S^T)^T] for s = S, both flat.
     D.T is the same class over the transposed factors, with no .T of its own."""
 
-    def __init__(self, Ar: sp.csr_array, Az: sp.csr_array, adjoint: bool = False):
+    def __init__(self, Ar: Csr, Az: Csr, adjoint: bool = False):
         self.Ar, self.Az, self._adjoint = Ar, Az, adjoint
         self._nodes = (Ar.shape[0], Az.shape[0])
-        self.T = None if adjoint else DivergenceMatrix(Ar.T.tocsr(), Az.T.tocsr(), True)
+        self.T = None if adjoint else DivergenceMatrix(Ar.T, Az.T, True)
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if self._adjoint:
@@ -209,7 +236,7 @@ class DivergenceMatrix:
 def build_divergence_matrix(g: Grid) -> DivergenceMatrix:
     """The discrete divergence D on stacked [vr, vz] nodes, from the factors of
     divergence_operators."""
-    return DivergenceMatrix(*map(sp.csr_array, divergence_operators(g)))
+    return DivergenceMatrix(*divergence_operators(g))
 
 
 def divergence(D: DivergenceMatrix, fld: AxisymField) -> np.ndarray:
@@ -283,12 +310,15 @@ class ProjectionOperator:
         # the nodes of [vr; vz] (v[::2]) that the projection moves
         self._free = np.zeros((2, *grid.shape), bool)
         self._free[0, 1:-1, 1:-1] = self._free[1, :-1, 1:-1] = True
-        Ar, Az = self.D.Ar[:, 1:-1], self.D.Az[:, 1:-1]
         wr = w[:, 1]  # an inner z column: the radial weights times dr dz
-        Kr = (Ar @ sp.diags_array(1.0 / wr[1:-1]) @ Ar.T).toarray()
-        Kz = (Az @ Az.T).toarray()
+        pz = np.r_[0.0, np.ones(nz - 1), 0.0]  # the free vr columns
+        # the factors' free columns 1..n-1: each factor applied to its dense
+        # transpose with the fixed rows zeroed (and scaled by Wr^-1 in Kr)
+        Kr = _product(self.D.Ar, np.r_[0.0, 1.0 / wr[1:-1], 0.0][:, None]
+                      * _product(self.D.T.Ar, np.eye(grid.nr + 1)))
+        Kz = _product(self.D.Az, pz[:, None] * _product(self.D.T.Az, np.eye(nz + 1)))
         phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
-        theta, self._Vz = _mirror_eigh(Kz, Kz + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0]))
+        theta, self._Vz = _mirror_eigh(Kz, Kz + np.diag(pz))
         lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta
         # lam lies in [0, 1]: roundoff (< 1e-13) on the kernel, O(h^2) above it
         self._lam_inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam >= 1e-9)
@@ -330,27 +360,25 @@ def stable_dt(g: Grid, cfl: float, qmax: float) -> float:
     return cfl * min(g.dr, g.dz) / max(1.0, qmax)
 
 
-def _radial_operator(g: Grid, swirllike: bool) -> sp.csr_matrix:
-    """The radial part of L as a matrix acting on all nr+1 rows: at rows
-    1..nr-1 d_rr + (1/r) d_r - 1/r^2 (swirl-like, for fields odd at the axis),
-    or at rows 0..nr-1 d_rr + (1/r) d_r, whose axis row is the limit
-    2 d_rr f = 4 (f_1 - f_0)/dr^2 of a field even at the axis.  It is
-    symmetric under the radial volume weights (r_i, and dr/8 on the axis row):
-    weighted, it couples rows i and i+1 by r_{i+1/2}/dr^2."""
+def _radial_operator(g: Grid, swirllike: bool) -> np.ndarray:
+    """The radial part of L as a band: row k holds the coefficients of f_{i-1},
+    f_i and f_{i+1} in L's row i = k + 1 (swirl-like, for fields odd at the axis:
+    d_rr + (1/r) d_r - 1/r^2 at rows 1..nr-1) or i = k (d_rr + (1/r) d_r at rows
+    0..nr-1, whose axis row is the limit 2 d_rr f = 4 (f_1 - f_0)/dr^2 of a
+    field even at the axis).  It is symmetric under the radial volume weights
+    (r_i, and dr/8 on the axis row): weighted, it couples rows i and i+1 by
+    r_{i+1/2}/dr^2."""
     dr, r = g.dr, g.r[1:-1]
     main = np.full(r.shape, -2.0 / dr**2) - (1.0 / r**2 if swirllike else 0.0)
     up = 1.0 / dr**2 + 1.0 / (2 * dr * r)  # coefficient of f_{i+1} in row i
     down = 1.0 / dr**2 - 1.0 / (2 * dr * r)  # coefficient of f_{i-1} in row i
-    if swirllike:
-        return sp.diags([down, main, up], [0, 1, 2], shape=(g.nr - 1, g.nr + 1), format="csr")
-    return sp.diags([down, np.r_[-4.0 / dr**2, main], np.r_[4.0 / dr**2, up]], [-1, 0, 1],
-                    shape=(g.nr, g.nr + 1), format="csr")
+    band = np.stack([down, main, up], axis=1)
+    return band if swirllike else np.r_[[[0.0, -4.0 / dr**2, 4.0 / dr**2]], band]
 
 
-def _axial_operator(g: Grid) -> sp.csr_matrix:
-    """d_zz at the nodes strictly inside the z ends, as a matrix acting on all nz+1 columns."""
-    n = g.nz - 1
-    return sp.diags([1.0, -2.0, 1.0], [0, 1, 2], shape=(n, n + 2), format="csr") / g.dz**2
+def _axial_operator(g: Grid) -> Csr:
+    """d_zz at the nodes strictly inside the z ends, acting on all nz+1 columns."""
+    return Csr.banded(np.tile(np.array([1.0, -2.0, 1.0]) / g.dz**2, (g.nz - 1, 1)), 0, g.nz + 1)
 
 
 def _axial_basis(g: Grid, neumann: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -371,14 +399,15 @@ def _axial_basis(g: Grid, neumann: bool) -> tuple[np.ndarray, np.ndarray, np.nda
     return V, np.ones(n), -4.0 / g.dz**2 * np.sin(theta) ** 2
 
 
-def _diagonalise(A: sp.csr_matrix, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, w, lam) with A = V diag(lam) V^-1 and V^-1 = V^T diag(w), for a
-    tridiagonal A symmetric under the weights w (diag(w) A symmetric): from the
-    orthogonal eigenvectors Q of the symmetric tridiagonal W^1/2 A W^-1/2, found
-    by LAPACK's divide and conquer, V = W^-1/2 Q."""
+def _diagonalise(d: np.ndarray, e: np.ndarray,
+                 w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(V, w, lam) with A = V diag(lam) V^-1 and V^-1 = V^T diag(w), for the
+    tridiagonal A with diagonal d and superdiagonal e, symmetric under the
+    weights w (diag(w) A symmetric): from the orthogonal eigenvectors Q of the
+    symmetric tridiagonal W^1/2 A W^-1/2, found by LAPACK's divide and conquer,
+    V = W^-1/2 Q."""
     s = np.sqrt(w)
-    lam, Q = scipy.linalg.eigh_tridiagonal(A.diagonal(), A.diagonal(1) * (s[:-1] / s[1:]),
-                                           lapack_driver="stevd")
+    lam, Q = scipy.linalg.eigh_tridiagonal(d, e * (s[:-1] / s[1:]), lapack_driver="stevd")
     return Q / s[:, None], w, lam
 
 
@@ -403,24 +432,28 @@ class HelmholtzSolver:
         w = volume_weights(grid)[:, 1]  # an inner z column: the radial weights times dr dz
         swirl = _radial_operator(grid, swirllike=True)
         plain = _radial_operator(grid, swirllike=False)
-        radial_swirl = _diagonalise(swirl[:, 1:-1], w[1:-1])
-        radial_plain = _diagonalise(plain[:, :-1], w[:-1])
+        # the square blocks on the unknown rows: the bands' middle and upper diagonals
+        radial_swirl = _diagonalise(swirl[:, 1], swirl[:-1, 2], w[1:-1])
+        radial_plain = _diagonalise(plain[:, 1], plain[:-1, 2], w[:-1])
+        R_swirl = Csr.banded(swirl, 0, grid.nr + 1)
         self._Z = Z = _axial_operator(grid)
+        end_z = Z.data[0]  # row 0's coefficient of column 0, the z_min end
         dirichlet = _axial_basis(grid, neumann=False)
         neumann = _axial_basis(grid, neumann=True) if neumann_swirl else dirichlet
         # per component of v: radial operator, first unknown row, radial and axial
         # decompositions, and L's couplings of the last unknown row to r_max and of
         # the end unknown columns to the z ends (folded into vtheta's operator if Neumann)
-        self._ops = ((swirl, 1, radial_swirl, dirichlet, swirl[-1, -1], Z[0, 0]),
-                     (swirl, 1, radial_swirl, neumann, swirl[-1, -1],
-                      0.0 if neumann_swirl else Z[0, 0]),
-                     (plain, 0, radial_plain, dirichlet, plain[-1, -1], Z[0, 0]))
+        self._ops = ((R_swirl, 1, radial_swirl, dirichlet, swirl[-1, 2], end_z),
+                     (R_swirl, 1, radial_swirl, neumann, swirl[-1, 2],
+                      0.0 if neumann_swirl else end_z),
+                     (Csr.banded(plain, -1, grid.nr + 1), 0, radial_plain, dirichlet,
+                      plain[-1, 2], end_z))
 
     def laplacian(self, fld: AxisymField) -> AxisymField:
         """L applied to every component; zero on the boundary nodes it does not reach."""
         out = AxisymField.zeros(fld.grid)
         for x, lx, (R, lo, *_) in zip(fld.v, out.v, self._ops):
-            lx[lo:-1, 1:-1] = (R @ x)[:, 1:-1] + (self._Z @ x[lo:-1].T).T
+            lx[lo:-1, 1:-1] = _product(R, x)[:, 1:-1] + _product(self._Z, x[lo:-1].T).T
         return out
 
     def solve(self, rhs: AxisymField, bounded: AxisymField, c: float) -> AxisymField:

@@ -10,7 +10,7 @@ import axiswirl.cli
 import axiswirl.microscope
 from axiswirl.cli import DIAG_COLUMNS, MICRO_COLUMNS, main
 from axiswirl.config import parse_config
-from axiswirl.fields import SnapshotHistory, read_snapshot
+from axiswirl.fields import AxisymField, Grid, SnapshotHistory, read_snapshot, write_snapshot
 from axiswirl.initial import generate
 from axiswirl.solver import AxisymSolver
 
@@ -112,6 +112,12 @@ def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "nope.yaml")]) == 1
 
 
+def test_unreadable_config_is_usage_error_that_names_it(tmp_path, capsys):
+    # a directory passed as the config cannot be read: exit 1, not a traceback
+    assert main(["simulate", "--config", str(tmp_path)]) == 1
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 def test_bad_config_is_usage_error(tmp_path):
     cfg = _write(tmp_path / "bad.yaml", "grid:\n  nx: 3\n")
     assert main(["simulate", "--config", cfg]) == 1
@@ -156,6 +162,59 @@ def test_microscope_writes_report(tmp_path):
         mode, *numbers = row.split(",")
         assert mode in ("A", "B")
         assert all(np.isfinite(float(x)) for x in numbers)
+
+
+# the 64^2 member s = 2.5 of the acceptance suite's trend family, with dt pinned:
+# the CFL rule's floor max(1, q) is not covariant under the scaling
+ZOOM_RUN = (
+    "grid:\n  nr: 64\n  nz: 64\n  r_max: {r}\n  z_min: {z_min}\n  z_max: {r}\n"
+    "solver:\n  dt: {dt}\n  t_end: {t_end}\n  snapshot_every: 2\n"
+    "data:\n  kind: vortex_ring_swirl\n  n0: 20.0\n  ring_r: 2.0\n  core_radius: 0.6\n"
+    f"  stream_amplitude: 1.0\n  swirl_amplitude: {0.3 / 2.5!r}\n"
+    "microscope:\n  sigma0: 8.0\n"
+    "output:\n  directory: {out}\n"
+)
+
+
+def _microscope_table(path):
+    """(modes, numeric columns as a 2D array, their names) of a microscope.csv."""
+    head, *rows = path.read_text(encoding="utf-8").splitlines()
+    cells = [row.split(",") for row in rows]
+    return ([c[0] for c in cells], np.array([[float(x) for x in c[1:]] for c in cells]),
+            head.split(",")[1:])
+
+
+def test_simulate_and_microscope_commute_with_the_scaling(tmp_path):
+    # with unit viscosity v_lam(x, t) = lam v(lam x, lam^2 t) is a solution
+    # whenever v is: the image run, lam times the run's initial state on the
+    # grid scaled by 1/lam, with dt and t_end scaled by 1/lam^2, zooms to the
+    # same rescaled cubes, so every row of its microscope.csv is the run's row
+    # with t0 scaled by 1/lam^2, the position and beta = r0/sqrt(alpha) by
+    # 1/lam and Q by lam; every measure on the cube is invariant
+    lam, run, image = 2.0, tmp_path / "run", tmp_path / "image"
+    cfg_run = _write(tmp_path / "run.yaml",
+                     ZOOM_RUN.format(r=4.0, z_min=-4.0, dt=0.005, t_end=0.15, out=run))
+    cfg_image = _write(tmp_path / "image.yaml", ZOOM_RUN.format(
+        r=4.0 / lam, z_min=-4.0 / lam, dt=0.005 / lam**2, t_end=0.15 / lam**2, out=image))
+    assert main(["simulate", "--config", cfg_run]) == 0
+    t0, fld, p = read_snapshot(run / "snap_00000000.bin")
+    g = fld.grid
+    small = Grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
+    image.mkdir()
+    write_snapshot(image / "snap_00000000.bin", t0, AxisymField(small, lam * fld.v), lam**2 * p)
+    assert main(["simulate", "--config", cfg_image, "--resume"]) == 0
+    for out, cfg in ((run, cfg_run), (image, cfg_image)):
+        assert main(["microscope", "--config", cfg, "--snapshots", str(out)]) == 0
+
+    modes, got, names = _microscope_table(image / "microscope.csv")
+    want_modes, want, _ = _microscope_table(run / "microscope.csv")
+    assert modes == want_modes and set(modes) == {"A", "B"}
+    scale = {"t0": lam**-2, "r0": 1 / lam, "z0": 1 / lam, "beta": 1 / lam, "Q": lam}
+    want *= [scale.get(name, 1.0) for name in names]
+    # each column within 1e-10 of its largest value
+    bad = [name for name, a, b in zip(names, got.T, want.T)
+           if np.max(np.abs(a - b)) > 1e-10 * np.max(np.abs(b))]
+    assert not bad, bad
 
 
 def test_microscope_dump_removes_cubes_of_an_earlier_run(tmp_path):

@@ -25,6 +25,7 @@ from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_pr
 from axiswirl.solver import (
     GAMMA,
     AxisymSolver,
+    Csr,
     HelmholtzSolver,
     PoissonError,
     ProjectionOperator,
@@ -33,6 +34,7 @@ from axiswirl.solver import (
     _mirror_eigh,
     _pad_r,
     _pad_z,
+    _product,
     advect,
     build_divergence_matrix,
     divergence,
@@ -405,7 +407,7 @@ def test_mirror_split_solves_the_axial_pencil(nz):
     # and without a middle node, give the full pencil's B-orthonormal
     # eigenvectors and its eigenvalues
     g = Grid(16, nz, 2.0, -1.5, 2.5)
-    Az = divergence_operators(g)[1][:, 1:-1]
+    Az = _product(divergence_operators(g)[1], np.eye(nz + 1))[:, 1:-1]
     K = Az @ Az.T
     B = K + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0])
     theta, V = _mirror_eigh(K, B)
@@ -720,6 +722,54 @@ def test_set_up_decomposes_no_dense_matrix_beyond_the_radial_pencil(monkeypatch)
     radial, *axial = sorted(sizes, reverse=True)
     assert radial == g.nr + 1
     assert axial and max(axial) <= g.nz // 2 + 1
+
+
+def test_set_up_and_a_step_construct_no_scipy_sparse_object(monkeypatch):
+    # every 1D operator is a Csr of index arrays applied by _product
+    made = []
+    init = sp._base._spbase.__init__
+    monkeypatch.setattr(sp._base._spbase, "__init__", lambda self, *args, **kw:
+                        made.append(type(self).__name__) or init(self, *args, **kw))
+    g = Grid(*HELMHOLTZ_GRID)
+    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
+                          SolverConfig(cfl=0.4, boundary="hold"))
+    solver.step()
+    solver.record_diagnostics()
+    assert made == []
+    sp.csr_array(np.eye(2))
+    assert made  # the recorder sees a construction
+
+
+def _csr(A):
+    """A scipy CSR matrix's index arrays as the solver's Csr."""
+    return Csr(A.indptr, A.indices, A.data, A.shape)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_product_equals_the_dense_product(seed):
+    # _product calls scipy's private CSR kernel directly: a change of its
+    # signature must fail here, not give wrong numbers
+    rng = np.random.default_rng(seed)
+    m, n, k = rng.integers(5, 40, size=3)
+    dense = np.where(rng.random((m, n)) < 0.3, rng.normal(size=(m, n)), 0.0)
+    A = sp.csr_array(dense)
+    square = np.where(rng.random((n, n)) < 0.3, rng.normal(size=(n, n)), 0.0)
+    operators = [
+        (_csr(sp.csr_array(square)), square),
+        (_csr(A), dense),
+        (_csr(A[:, 1:-1]), dense[:, 1:-1]),  # a rectangular column slice
+        (_csr(A.T.tocsr()), dense.T),
+        (_csr(A).T, dense.T),  # Csr's own transpose
+    ]
+    for op, want in operators:
+        X = rng.normal(size=(want.shape[1], k))
+        acc = rng.normal(size=(want.shape[0], k))
+        got = _product(op, X)
+        assert np.linalg.norm(got - want @ X) <= 1e-14 * np.linalg.norm(want @ X)
+        # out is accumulated in place
+        out = acc.copy()
+        assert _product(op, X, out) is out
+        assert np.linalg.norm(out - (acc + want @ X)) <= 1e-14 * np.linalg.norm(acc + want @ X)
 
 
 # ---------------------------------------------------------------------------

@@ -47,3 +47,23 @@ def test_only_fields_names_the_velocity_components():
              if isinstance(node, ast.Constant) and isinstance(node.value, str)
              and node.value in names]
     assert not found, "velocity components named outside fields.py: " + ", ".join(found)
+
+
+def _uses_scipy_sparse(node: ast.AST) -> bool:
+    """Whether ``node`` imports from or reads scipy.sparse, other than
+    ``from scipy.sparse._sparsetools import csr_matvecs``."""
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("scipy.sparse") for a in node.names)
+    if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy.sparse"):
+        return ((node.module, [a.name for a in node.names])
+                != ("scipy.sparse._sparsetools", ["csr_matvecs"]))
+    return isinstance(node, ast.Attribute) and node.attr == "sparse"
+
+
+def test_solver_takes_only_the_product_kernel_from_scipy_sparse():
+    # the solver's 1D operators are index arrays (Csr) applied by _product;
+    # scipy.sparse lends the kernel alone
+    tree = ast.parse((SRC / "solver.py").read_text(encoding="utf-8"))
+    found = [f"{node.lineno} {ast.unparse(node)}" for node in ast.walk(tree)
+             if _uses_scipy_sparse(node)]
+    assert not found, "solver.py uses scipy.sparse beyond csr_matvecs: " + ", ".join(found)
