@@ -113,12 +113,12 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
     for p in paths:
         history.push(*read_snapshot(p)[:2])  # time and velocities: no pressure is kept
     rows = microscope_report(history, cfg.microscope)
-    # the cubes of an earlier run, which may have had more rows, go first
-    if dump_cubes:
-        for path in directory.glob("cube_*.bin"):
-            path.unlink()
     out = Path(out_path) if out_path else directory / "microscope.csv"
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        # an earlier dump's cubes, maybe more than this one's, go once the report opens
+        if dump_cubes:
+            for path in directory.glob("cube_*.bin"):
+                path.unlink()
         fh.write(",".join(MICRO_COLUMNS) + "\n")
         for k, (zoom, sample, rep) in enumerate(rows):
             row = (
@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "validate":
             return run_validate(cfg)
         return run_sweep(cfg)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (UnstableError, PoissonError, FloatingPointError) as exc:

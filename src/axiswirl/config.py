@@ -43,11 +43,12 @@ class RunConfig:
 _SECTIONS = {name: cls for name, cls in get_type_hints(RunConfig).items() if name != "sweep"}
 
 
-def _coerce(value: Any, typ: Any, path: str) -> Any:
+def _coerce(value: Any, typ: str, path: str) -> Any:
+    """``value`` checked against ``typ``, a field's annotation as a string
+    (every section module postpones its annotations)."""
     if value is None:
         return None
-    origin = str(typ)
-    if typ is float or "float" in origin:
+    if "float" in typ:
         if isinstance(value, str):
             # YAML 1.1 reads bare scientific notation like 1e-3 as a string
             try:
@@ -57,18 +58,12 @@ def _coerce(value: Any, typ: Any, path: str) -> Any:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected a number, got {value!r}")
         return float(value)
-    if typ is int or origin == "int":
+    if typ == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")
         return int(value)
-    if typ is str or origin == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    if typ is bool or origin == "bool":
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path}: expected a boolean, got {value!r}")
-        return value
+    if typ == "str" and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
     return value
 
 

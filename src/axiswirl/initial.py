@@ -25,9 +25,7 @@ class DataSpec:
     t_offset: float = 0.5
     # vortex_ring_swirl
     ring_r: float = 1.5
-    ring_z: float = 0.0
     core_radius: float = 0.35
-    stream_amplitude: float = 1.0
     swirl_amplitude: float = 0.3
     # stream_random
     seed: int = 0
@@ -38,6 +36,12 @@ class DataSpec:
             raise ValueError(f"n0 must be positive, got {self.n0}")
         if self.kind not in ("lamb_oseen", "vortex_ring_swirl", "stream_random"):
             raise ValueError(f"unknown data kind {self.kind!r}")
+        if self.kind == "lamb_oseen" and self.t_offset <= 0:
+            raise ValueError(f"t_offset must be positive, got {self.t_offset}")
+        if self.kind == "vortex_ring_swirl" and self.ring_r <= 3 * self.core_radius:
+            raise ValueError(
+                f"ring center r={self.ring_r} must exceed 3x core radius {self.core_radius}"
+            )
 
 
 def lamb_oseen_profile(r: np.ndarray, circulation: float, nu: float, t: float) -> np.ndarray:
@@ -51,9 +55,7 @@ def lamb_oseen_profile(r: np.ndarray, circulation: float, nu: float, t: float) -
 
 
 def lamb_oseen_field(circulation: float, nu: float, t_offset: float, grid: Grid) -> AxisymField:
-    """Pure-swirl analytic solution sampled on the grid at time ``t_offset``."""
-    if t_offset <= 0:
-        raise ValueError(f"t_offset must be positive, got {t_offset}")
+    """Pure-swirl analytic solution sampled on the grid at time ``t_offset`` > 0."""
     fld = AxisymField.zeros(grid)
     fld.vtheta = lamb_oseen_profile(grid.r, circulation, nu, t_offset)[:, None]
     return fld
@@ -91,13 +93,8 @@ def _scaled_to_n0(fld: AxisymField, n0: float) -> AxisymField:
 
 
 def vortex_ring_swirl(spec: DataSpec, grid: Grid) -> AxisymField:
-    """Swirling vortex-ring data rescaled so the three bounds hold with spec.n0."""
-    if spec.ring_r <= 3 * spec.core_radius:
-        raise ValueError(
-            f"ring center r={spec.ring_r} must exceed 3x core radius {spec.core_radius}"
-        )
-    vr, vz, e = _ring_meridional(grid, spec.stream_amplitude, spec.ring_r, spec.ring_z,
-                                 spec.core_radius)
+    """Swirling vortex-ring data centred on z = 0, rescaled so the three bounds hold with n0."""
+    vr, vz, e = _ring_meridional(grid, 1.0, spec.ring_r, 0.0, spec.core_radius)
     vtheta = spec.swirl_amplitude * (grid.r[:, None] / spec.ring_r) * e
     return _scaled_to_n0(AxisymField(grid, np.stack([vr, vtheta, vz])), spec.n0)
 

@@ -156,7 +156,7 @@ def momentum_rhs(state: AxisymField) -> AxisymField:
 
 
 # ---------------------------------------------------------------------------
-# divergence matrix, weights and the projection operator
+# divergence, weights and the projection operator
 # ---------------------------------------------------------------------------
 
 class Csr(NamedTuple):
@@ -186,11 +186,28 @@ class Csr(NamedTuple):
         return Csr(indptr, rows[order], self.data[order], self.shape[::-1])
 
 
-def divergence_operators(g: Grid) -> tuple[Csr, Csr]:
-    """The 1D factors of the divergence: Ar = d_r + 1/r on the nr+1 radial
-    nodes, whose axis row is the limit 2 d_r of an odd vr, and Az = d_z on the
-    nz+1 axial nodes.  Centred in the interior, second-order one-sided at the
-    outer ends."""
+def _product(A: Csr, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """out + A @ X for a 2D X (out zero if not given, else C-contiguous and
+    updated in place) by scipy's private CSR kernel, the one its ``A @ X`` calls."""
+    out = np.zeros((A.shape[0], X.shape[1])) if out is None else out
+    csr_matvecs(*A.shape, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+    return out
+
+
+class DivergenceFactors(NamedTuple):
+    """The discrete divergence D = [Ar (x) I_z, I_r (x) Az] on the nodal (vr, vz)
+    arrays, never assembled: its 1D factors and their transposes.  Ar = d_r +
+    1/r on the nr+1 radial nodes, whose axis row is the limit 2 d_r of an odd
+    vr, and Az = d_z on the nz+1 axial nodes."""
+    Ar: Csr
+    Az: Csr
+    ArT: Csr
+    AzT: Csr
+
+
+def build_divergence_matrix(g: Grid) -> DivergenceFactors:
+    """D's factors on ``g``: centred in the interior, second-order one-sided at
+    the outer ends."""
     def d1(n: int, h: float) -> np.ndarray:
         band = np.zeros((n + 1, 5))  # row i: the coefficients of columns i-2 .. i+2
         band[:, 1], band[:, 3] = -1.0 / (2 * h), 1.0 / (2 * h)
@@ -203,46 +220,18 @@ def divergence_operators(g: Grid) -> tuple[Csr, Csr]:
     i = np.arange(1, g.nr)
     Ar[i, 2] = 1.0 / (i * g.dr)
     Ar[-1, 2] += 1.0 / (g.nr * g.dr)
-    return Csr.banded(Ar, -2, g.nr + 1), Csr.banded(Az, -2, g.nz + 1)
+    Ar, Az = Csr.banded(Ar, -2, g.nr + 1), Csr.banded(Az, -2, g.nz + 1)
+    return DivergenceFactors(Ar, Az, Ar.T, Az.T)
 
 
-def _product(A: Csr, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """out + A @ X for a 2D X (out zero if not given, else C-contiguous and
-    updated in place) by scipy's private CSR kernel, the one its ``A @ X`` calls."""
-    out = np.zeros((A.shape[0], X.shape[1])) if out is None else out
-    csr_matvecs(*A.shape, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
-    return out
+def divergence(D: DivergenceFactors, fld: AxisymField) -> np.ndarray:
+    """The nodal divergence Ar vr + vz Az^T of ``fld``."""
+    return _product(D.Ar, fld.vr, _product(D.Az, fld.vz.T).T.copy())
 
 
-class DivergenceMatrix:
-    """D = [Ar (x) I_z, I_r (x) Az] on the stacked [vr; vz] nodes, applied from
-    its 1D factors and never assembled: D @ x = Ar vr + (Az vz^T)^T for
-    x = [vr; vz], and D.T @ s = [Ar^T S; (Az^T S^T)^T] for s = S, both flat.
-    D.T is the same class over the transposed factors, with no .T of its own."""
-
-    def __init__(self, Ar: Csr, Az: Csr, adjoint: bool = False):
-        self.Ar, self.Az, self._adjoint = Ar, Az, adjoint
-        self._nodes = (Ar.shape[0], Az.shape[0])
-        self.T = None if adjoint else DivergenceMatrix(Ar.T, Az.T, True)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if self._adjoint:
-            S = x.reshape(self._nodes)
-            return np.stack([_product(self.Ar, S), _product(self.Az, S.T).T]).ravel()
-        x = x.reshape(2, *self._nodes)
-        return _product(self.Ar, x[0], _product(self.Az, x[1].T).T.copy()).ravel()
-
-
-def build_divergence_matrix(g: Grid) -> DivergenceMatrix:
-    """The discrete divergence D on stacked [vr, vz] nodes, from the factors of
-    divergence_operators."""
-    return DivergenceMatrix(*divergence_operators(g))
-
-
-def divergence(D: DivergenceMatrix, fld: AxisymField) -> np.ndarray:
-    """The nodal divergence of ``fld``: D from build_divergence_matrix applied
-    to fld.v[::2], which stacks [vr; vz] in D's column order."""
-    return (D @ fld.v[::2]).reshape(fld.grid.shape)
+def gradient(D: DivergenceFactors, s: np.ndarray) -> np.ndarray:
+    """D^T applied to the nodal array ``s``: (Ar^T s, s Az), stacked like v[::2]."""
+    return np.stack([_product(D.ArT, s), _product(D.AzT, s.T).T])
 
 
 def volume_weights(g: Grid) -> np.ndarray:
@@ -281,18 +270,18 @@ class ProjectionOperator:
     """Exact discrete Helmholtz projection onto divergence-free fields.
 
     Solves K s = div(u*)/dt, K = D_f W^-1 D_f^T, directly.  On the free nodes
-    K = Kr (x) Pz + Mr (x) Kz, from D's 1D factors Ar and Az
-    (divergence_operators): Kr = Ar_f Wr^-1 Ar_f^T, Mr = Wr^-1 on the free vz
-    rows, Kz = Az_f Az_f^T and Pz the identity on the free vr columns.  The
-    generalised eigenvectors (V^T B V = I) of the definite pencils
-    (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K (Lynch, Rice & Thomas 1964).
-    The radial pencil (pentadiagonal, with no symmetry) is solved dense.  Az is
-    odd under the z-reversal J (J Az J = -Az), so J commutes with Kz and Pz and
-    the axial pencil splits into two of half the size (_mirror_eigh).
+    K = Kr (x) Pz + Mr (x) Kz, from D's 1D factors Ar and Az: Kr = Ar_f Wr^-1
+    Ar_f^T, Mr = Wr^-1 on the free vz rows, Kz = Az_f Az_f^T and Pz the
+    identity on the free vr columns.  The generalised eigenvectors (V^T B V =
+    I) of the definite pencils (Kr, Kr + Mr) and (Kz, Kz + Pz) diagonalise K
+    (Lynch, Rice & Thomas 1964).  The radial pencil (pentadiagonal, with no
+    symmetry) is solved dense.  Az is odd under the z-reversal J (J Az J =
+    -Az), so J commutes with Kz and Pz and the axial pencil splits into two of
+    half the size (_mirror_eigh).
     s = Vr [(Vr^T R Vz) / lam] Vz^T is K's exact inverse applied to R on
     K's range.  It is zero on K's 6-dimensional kernel, so s has no kernel
     component: the pressure is set by the flow alone.  The velocity update is
-    the adjoint gradient B W^-1 D^T s, which reduces in the interior to the
+    the adjoint gradient B W^-1 D^T s (``gradient``), in the interior the
     centered-difference pressure gradient matching the divergence stencil.
 
     ``tol`` bounds the divergence of the projected field in the 2-norm, and so
@@ -304,41 +293,39 @@ class ProjectionOperator:
     def __init__(self, grid: Grid, tol: float = SolverConfig.projection_tol):
         self.grid = grid
         self.tol = tol
-        nz = grid.nz
-        self.D = build_divergence_matrix(grid)
+        self.D = D = build_divergence_matrix(grid)
         self._w = w = volume_weights(grid)
-        # the nodes of [vr; vz] (v[::2]) that the projection moves
-        self._free = np.zeros((2, *grid.shape), bool)
-        self._free[0, 1:-1, 1:-1] = self._free[1, :-1, 1:-1] = True
+        # the nodes of (vr, vz) (v[::2]) that the projection moves: the free rows
+        # of Kr (vr) and Mr (vz) on an inner column, Pz's free columns on vr's
+        self._free = free = np.zeros((2, *grid.shape), bool)
+        free[0, 1:-1, 1:-1] = free[1, :-1, 1:-1] = True
         wr = w[:, 1]  # an inner z column: the radial weights times dr dz
-        pz = np.r_[0.0, np.ones(nz - 1), 0.0]  # the free vr columns
-        # the factors' free columns 1..n-1: each factor applied to its dense
-        # transpose with the fixed rows zeroed (and scaled by Wr^-1 in Kr)
-        Kr = _product(self.D.Ar, np.r_[0.0, 1.0 / wr[1:-1], 0.0][:, None]
-                      * _product(self.D.T.Ar, np.eye(grid.nr + 1)))
-        Kz = _product(self.D.Az, pz[:, None] * _product(self.D.T.Az, np.eye(nz + 1)))
-        phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(np.r_[1.0 / wr[:-1], 0.0]))
+        pz = free[0, 1].astype(float)
+        # each factor applied to its dense transpose with the fixed rows zeroed
+        # (and scaled by Wr^-1 in Kr)
+        Kr = _product(D.Ar, (free[0, :, 1] / wr)[:, None] * _product(D.ArT, np.eye(grid.nr + 1)))
+        Kz = _product(D.Az, pz[:, None] * _product(D.AzT, np.eye(grid.nz + 1)))
+        phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(free[1, :, 1] / wr))
         theta, self._Vz = _mirror_eigh(Kz, Kz + np.diag(pz))
         lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta
         # lam lies in [0, 1]: roundoff (< 1e-13) on the kernel, O(h^2) above it
         self._lam_inv = np.divide(1.0, lam, out=np.zeros_like(lam), where=lam >= 1e-9)
 
     def _inverse(self, r: np.ndarray) -> np.ndarray:
-        """K's exact inverse on its range applied to the nodal vector ``r``."""
+        """K's exact inverse on its range applied to the nodal array ``r``."""
         Vr, Vz = self._Vr, self._Vz
-        return (Vr @ ((Vr.T @ r.reshape(self.grid.shape) @ Vz) * self._lam_inv) @ Vz.T).ravel()
+        return Vr @ ((Vr.T @ r @ Vz) * self._lam_inv) @ Vz.T
 
     def project(self, u_star: AxisymField, dt: float) -> tuple[AxisymField, np.ndarray]:
         """(projected field, nodal pressure); a field whose divergence has 2-norm
         below ``tol`` comes back bit for bit."""
-        g = self.grid
-        div = divergence(self.D, u_star).ravel()
+        div = divergence(self.D, u_star)
         div_norm = float(np.linalg.norm(div))
         if div_norm < self.tol:
-            return u_star.copy(), np.zeros(g.shape)
+            return u_star.copy(), np.zeros(self.grid.shape)
         s = self._inverse(div / dt)
-        grad = np.divide((self.D.T @ s).reshape(self._free.shape), self._w,
-                         out=np.zeros(self._free.shape), where=self._free)
+        grad = np.divide(gradient(self.D, s), self._w, out=np.zeros(self._free.shape),
+                         where=self._free)
         out = u_star.copy()
         out.v[::2] -= dt * grad
         left = float(np.linalg.norm(divergence(self.D, out)))
@@ -348,7 +335,7 @@ class ProjectionOperator:
                 f"(residual {left / div_norm:.3e})",
                 left / div_norm,
             )
-        return out, -s.reshape(g.shape) / self._w
+        return out, -s / self._w
 
 
 # ---------------------------------------------------------------------------

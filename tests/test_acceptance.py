@@ -96,7 +96,6 @@ def trend_runs():
             n0=8.0 * s,
             ring_r=2.0,
             core_radius=0.6,
-            stream_amplitude=1.0,
             swirl_amplitude=0.3 / s,
         )
         hist = SnapshotHistory()

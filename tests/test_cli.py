@@ -170,7 +170,7 @@ ZOOM_RUN = (
     "grid:\n  nr: 64\n  nz: 64\n  r_max: {r}\n  z_min: {z_min}\n  z_max: {r}\n"
     "solver:\n  dt: {dt}\n  t_end: {t_end}\n  snapshot_every: 2\n"
     "data:\n  kind: vortex_ring_swirl\n  n0: 20.0\n  ring_r: 2.0\n  core_radius: 0.6\n"
-    f"  stream_amplitude: 1.0\n  swirl_amplitude: {0.3 / 2.5!r}\n"
+    f"  swirl_amplitude: {0.3 / 2.5!r}\n"
     "microscope:\n  sigma0: 8.0\n"
     "output:\n  directory: {out}\n"
 )
@@ -661,3 +661,62 @@ def test_a_bad_sweep_grid_stops_the_sweep_before_any_member_runs(tmp_path, capsy
     assert "sweep.grid.nr" in capsys.readouterr().err
     assert not (out / "sweep_0000").exists()
     assert not (out / "sweep_summary.csv").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    ("kind: vortex_ring_swirl\n  ring_r: 1.0", "must exceed 3x core radius"),
+    ("kind: lamb_oseen\n  t_offset: 0.0", "data.t_offset must be positive"),
+], ids=["ring", "lamb_oseen"])
+def test_bad_data_is_a_config_error_that_keeps_the_earlier_snapshots(tmp_path, capsys,
+                                                                      data, message):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _small_ring_config(tmp_path, out)]) == 0
+    before = run_outputs(out)
+    cfg = _write(tmp_path / "bad.yaml", f"grid:\n  nr: 16\n  nz: 16\ndata:\n  {data}\n"
+                 f"output:\n  directory: {out}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert run_outputs(out) == before
+
+
+def test_a_bad_sweep_ring_stops_the_sweep_before_any_member_runs(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    cfg = _write(
+        tmp_path / "run.yaml",
+        "grid:\n  nr: 16\n  nz: 16\n"
+        "solver:\n  dt: 1e-3\n  t_end: 2e-3\n"
+        f"output:\n  directory: {out}\n"
+        "sweep:\n  data.ring_r: [1.5, 1.0]\n",
+    )
+    assert main(["sweep", "--config", cfg]) == 1
+    assert "sweep.data.ring_r = 1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under_a_file"])
+def test_an_output_directory_that_is_a_file_is_an_error_that_names_it(tmp_path, capsys,
+                                                                       command, under):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker / "out" if under else blocker
+    cfg = _small_ring_config(tmp_path, out, "sweep:\n  data.n0: [1.0]\n")
+    assert main([command, "--config", cfg]) == 1
+    assert str(out) in capsys.readouterr().err
+
+
+def test_a_microscope_report_path_that_is_a_directory_is_an_error_that_names_it(tmp_path,
+                                                                                capsys):
+    # and the cubes of an earlier dump stay in place
+    out = tmp_path / "out"
+    cfg = _small_ring_config(tmp_path, out, "microscope:\n  sigma0: 80.0\n")
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["microscope", "--config", cfg, "--snapshots", str(out), "--dump-cubes"]) == 0
+    cubes = {p.name: p.read_bytes() for p in out.glob("cube_*.bin")}
+    assert cubes
+    report = tmp_path / "report"
+    report.mkdir()
+    assert main(["microscope", "--config", cfg, "--snapshots", str(out), "--dump-cubes",
+                 "--out", str(report)]) == 1
+    assert str(report) in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.glob("cube_*.bin")} == cubes

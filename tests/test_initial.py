@@ -61,9 +61,9 @@ def test_lamb_oseen_profile_continuous_at_switch():
 
 
 def test_lamb_oseen_field_rejects_nonpositive_time():
-    g = Grid(16, 16, 2.0, -1.0, 1.0)
+    # the data section rejects the time, before any field is sampled
     with pytest.raises(ValueError, match="t_offset"):
-        lamb_oseen_field(1.0, 1.0, 0.0, g)
+        DataSpec(kind="lamb_oseen", t_offset=0.0)
 
 
 def test_lamb_oseen_field_is_pure_swirl_and_z_independent():

@@ -38,7 +38,7 @@ from axiswirl.solver import (
     advect,
     build_divergence_matrix,
     divergence,
-    divergence_operators,
+    gradient,
     kinetic_energy,
     momentum_rhs,
     stable_dt,
@@ -340,20 +340,26 @@ ORACLE_IDS = ["16", "64", "24x40", "20x33"]
 
 @pytest.mark.parametrize("dims", ORACLE_GRIDS, ids=ORACLE_IDS)
 def test_divergence_matrix_equals_loop_oracle(dims):
-    # D applied to a unit vector reads one stored entry times 1, so its
-    # columns are the oracle's bit for bit; D.T agrees to roundoff
+    # D applied to a nodal unit (vr, vz) pair reads one stored entry times 1,
+    # so its columns are the oracle's bit for bit; the gradient D^T agrees to
+    # roundoff
     g = Grid(*dims)
     D = build_divergence_matrix(g)
     want = _loop_divergence_matrix(g).tocsc()
     n = want.shape[1]
+    fld = AxisymField.zeros(g)
     for lo in range(0, n, 512):
-        cols = np.arange(lo, min(lo + 512, n))
-        unit = np.zeros((len(cols), n))
-        unit[np.arange(len(cols)), cols] = 1.0
-        got = np.stack([D @ e for e in unit], axis=1)
+        cols = range(lo, min(lo + 512, n))
+        got = np.empty((want.shape[0], len(cols)))
+        for k, col in enumerate(cols):
+            c, i, j = np.unravel_index(col, (2, *g.shape))
+            fld.v[2 * c, i, j] = 1.0
+            got[:, k] = divergence(D, fld).ravel()
+            fld.v[2 * c, i, j] = 0.0
         assert np.array_equal(got, want[:, cols].toarray()), lo
-    s = np.random.default_rng(7).normal(size=want.shape[0])
-    assert np.linalg.norm(D.T @ s - want.T @ s) <= 1e-14 * np.linalg.norm(want.T @ s)
+    s = np.random.default_rng(7).normal(size=g.shape)
+    adjoint = want.T @ s.ravel()
+    assert np.linalg.norm(gradient(D, s).ravel() - adjoint) <= 1e-14 * np.linalg.norm(adjoint)
 
 
 def _oracle_pressure_matrix(g):
@@ -381,9 +387,10 @@ def test_preconditioner_inverts_the_operator_on_its_range(dims):
     g = Grid(*dims)
     op, K = _oracle_pressure_matrix(g)
     # b = D u for a random u on the nodes the projection moves
-    u = np.where(op._free, np.random.default_rng(5).normal(size=op._free.shape), 0.0)
-    b = op.D @ u.ravel()
-    assert np.linalg.norm(K @ op._inverse(b) - b) <= 1e-10 * np.linalg.norm(b)
+    u = AxisymField.zeros(g)
+    u.v[::2] = np.where(op._free, np.random.default_rng(5).normal(size=op._free.shape), 0.0)
+    b = divergence(op.D, u)
+    assert np.linalg.norm(K @ op._inverse(b).ravel() - b.ravel()) <= 1e-10 * np.linalg.norm(b)
     # the ring that the projection cleans to the configured bound
     out, _ = op.project(_walled_ring(g), dt=1e-3)
     assert float(np.max(np.abs(divergence(op.D, out)))) <= op.tol
@@ -397,7 +404,7 @@ def test_pressure_kernel_has_dimension_six(dims):
     op, K = _oracle_pressure_matrix(g)
     lam = np.linalg.eigvalsh(K.toarray())
     assert np.sum(lam < 1e-9 * lam[-1]) == 6
-    M = np.stack([op._inverse(e) for e in np.eye(op._w.size)], axis=1)
+    M = np.stack([op._inverse(e.reshape(g.shape)).ravel() for e in np.eye(op._w.size)], axis=1)
     assert np.linalg.matrix_rank(M, tol=1e-9 * np.abs(M).max()) == op._w.size - 6
 
 
@@ -407,7 +414,7 @@ def test_mirror_split_solves_the_axial_pencil(nz):
     # and without a middle node, give the full pencil's B-orthonormal
     # eigenvectors and its eigenvalues
     g = Grid(16, nz, 2.0, -1.5, 2.5)
-    Az = _product(divergence_operators(g)[1], np.eye(nz + 1))[:, 1:-1]
+    Az = _product(build_divergence_matrix(g).Az, np.eye(nz + 1))[:, 1:-1]
     K = Az @ Az.T
     B = K + np.diag(np.r_[0.0, np.ones(nz - 1), 0.0])
     theta, V = _mirror_eigh(K, B)
