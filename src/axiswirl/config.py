@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, get_type_hints
 
@@ -49,15 +50,17 @@ def _coerce(value: Any, typ: str, path: str) -> Any:
     if value is None:
         return None
     if "float" in typ:
-        if isinstance(value, str):
-            # YAML 1.1 reads bare scientific notation like 1e-3 as a string
+        # YAML 1.1 reads bare scientific notation like 1e-3 as a string, and .nan
+        # and .inf as floats; float() also takes the strings nan and 1e400
+        number = math.nan
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
             try:
-                return float(value)
-            except ValueError:
-                raise ConfigError(f"{path}: expected a number, got {value!r}") from None
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
+                number = float(value)
+            except (ValueError, OverflowError):
+                pass
+        if not math.isfinite(number):
+            raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+        return number
     if typ == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path}: expected an integer, got {value!r}")

@@ -36,6 +36,8 @@ class DataSpec:
             raise ValueError(f"n0 must be positive, got {self.n0}")
         if self.kind not in ("lamb_oseen", "vortex_ring_swirl", "stream_random"):
             raise ValueError(f"unknown data kind {self.kind!r}")
+        if self.core_radius <= 0:
+            raise ValueError(f"core_radius must be positive, got {self.core_radius}")
         if self.kind == "lamb_oseen" and self.t_offset <= 0:
             raise ValueError(f"t_offset must be positive, got {self.t_offset}")
         if self.kind == "vortex_ring_swirl" and self.ring_r <= 3 * self.core_radius:

@@ -10,6 +10,7 @@ measures a discrete parabolic C^{2,1,alpha}-style distance to the center value.
 from __future__ import annotations
 
 import functools
+import itertools
 import struct
 from dataclasses import dataclass
 
@@ -124,17 +125,14 @@ def find_almost_maximal(history: SnapshotHistory, mode: str,
         raise ValueError("empty history")
     if mode not in ("A", "B"):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
+    peak = max_speed if mode == "A" else max_rspeed
     out: list[ZoomParameters] = []
     running = 0.0
     for snap in history:
-        if mode == "A":
-            val, (r0, z0) = max_speed(snap.field)
-            q = val
-        else:
-            val, (r0, z0) = max_rspeed(snap.field)
-            # at (r0, 0, z0) the Cartesian components are (vr, vtheta, vz)
-            vr, vt, vz = sample_cartesian([snap.field], [[r0, 0.0, z0]])[0][0, 0]
-            q = float(np.sqrt(vr**2 + vt**2 + vz**2))
+        val, (r0, z0) = peak(snap.field)
+        # mode B's q is |v| at (r0, 0, z0), where the Cartesian components are (vr, vtheta, vz)
+        q = val if mode == "A" else float(
+            _norm(sample_cartesian([snap.field], [[r0, 0.0, z0]])[0][0, 0]))
         running = max(running, val)
         if val <= 0.0 or running <= 0.0:
             continue
@@ -142,18 +140,6 @@ def find_almost_maximal(history: SnapshotHistory, mode: str,
         if ratio >= ratio_threshold:
             out.append(ZoomParameters(mode=mode, t0=snap.t, r0=r0, z0=z0, q=q, ratio=ratio))
     return out
-
-
-def _interp_field_at(times: np.ndarray, t: float) -> tuple[int, int, float]:
-    """Bracketing snapshot indices and linear weight for time t (clamped above)."""
-    k = int(np.searchsorted(times, t))
-    if k == 0:
-        return 0, 0, 0.0
-    if k >= len(times):
-        return len(times) - 1, len(times) - 1, 0.0
-    t0, t1 = times[k - 1], times[k]
-    w = (t - t0) / (t1 - t0) if t1 > t0 else 0.0
-    return k - 1, k, float(w)
 
 
 def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
@@ -168,31 +154,28 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     if len(history) == 0:
         raise ValueError("empty history")
     L = 1.0 / (config.sigma0 * config.epsilon)
-    capped = False
     axis_cap = 0.5 * zoom.q * zoom.r0
-    if axis_cap > 0 and L > axis_cap:
+    capped = 0 < axis_cap < L
+    if capped:
         L = axis_cap
-        capped = True
 
-    n = config.cube_resolution
-    nt = config.cube_time_levels
+    n, nt = config.cube_resolution, config.cube_time_levels
     xs = np.linspace(-L, L, n)
     ts = np.linspace(-L * L, 0.0, nt)
+    phys = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1) / zoom.q + zoom.x0
 
-    phys = np.empty((n, n, n, 3))
-    x0 = zoom.x0
-    X1, X2, X3 = np.meshgrid(xs, xs, xs, indexing="ij")
-    phys[..., 0] = X1 / zoom.q + x0[0]
-    phys[..., 1] = X2 / zoom.q + x0[1]
-    phys[..., 2] = X3 / zoom.q + x0[2]
-
-    # the time levels inside the history, their brackets, and the snapshots they read
+    # a time level inside the history reads the two snapshots that bracket it, the
+    # later with its linear weight, or one snapshot at either end
     times = history.times
-    t_phys = ts / zoom.q**2 + zoom.t0
-    levels = [(k, *_interp_field_at(times, t)) for k, t in enumerate(t_phys)
-              if times[0] - 1e-12 <= t <= times[-1] + 1e-12]
-    reads = sorted({i for _, ia, ib, wt in levels
-                    for i in ((ia, ib) if ib != ia and wt > 0 else (ia,))})
+    levels = []  # (cube level, earlier snapshot, later snapshot or None, its weight)
+    for k, t in enumerate(ts / zoom.q**2 + zoom.t0):
+        if times[0] - 1e-12 <= t <= times[-1] + 1e-12:
+            j = int(np.searchsorted(times, t))
+            if 0 < j < len(times):
+                levels.append((k, j - 1, j, (t - times[j - 1]) / (times[j] - times[j - 1])))
+            else:
+                levels.append((k, min(j, len(times) - 1), None, 0.0))
+    reads = sorted({i for _, ia, ib, _ in levels for i in (ia, ib) if i is not None})
 
     v = np.zeros((nt, n, n, n, 3))
     valid = np.zeros((nt, n, n, n), bool)
@@ -200,10 +183,10 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
         samples, inside = sample_cartesian([history.snapshots[i].field for i in reads],
                                            phys.reshape(-1, 3))
         at = dict(zip(reads, samples))
-        for k, ia, ib, wt in levels:
+        for k, ia, ib, w in levels:
             va = at[ia]
             # incremental form: bitwise exact when both snapshots agree
-            vk = va + wt * (at[ib] - va) if ib != ia and wt > 0 else va
+            vk = va if ib is None else va + w * (at[ib] - va)
             v[k] = (vk / zoom.q).reshape(n, n, n, 3)
             valid[k] = inside.reshape(n, n, n)
 
@@ -221,8 +204,7 @@ def swirl_smallness(sample: CubeSample) -> float:
     et = np.stack([-pts[:, 1] / safe, pts[:, 0] / safe, np.zeros(len(pts))], axis=1)
     nt = sample.v.shape[0]
     sw = np.abs(np.einsum("kpc,pc->kp", sample.v.reshape(nt, -1, 3), et))
-    sw[~sample.valid.reshape(nt, -1)] = 0.0
-    return float(sw.max())
+    return _sup(sw, sample.valid.reshape(nt, -1))
 
 
 # relative slack of the Holder bound: it covers the float32 weights and ht/hx^2,
@@ -372,10 +354,38 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
     return best
 
 
-def _interior(a: np.ndarray, o1: int = 0, o2: int = 0, o3: int = 0) -> np.ndarray:
-    """Spatial interior of ``a`` (axes 1-3) shifted by (o1, o2, o3) lattice steps."""
-    n = a.shape[1]
-    return a[:, 1 + o1:n - 1 + o1, 1 + o2:n - 1 + o2, 1 + o3:n - 1 + o3]
+def _interior(a: np.ndarray, o) -> np.ndarray:
+    """Spatial interior of ``a`` (axes 1-3) shifted by the lattice offset o."""
+    return a[(slice(None),) + tuple(slice(1 + k, a.shape[1] - 1 + k) for k in o)]
+
+
+def _sup(x: np.ndarray, ok: np.ndarray) -> float:
+    """The maximum of the non-negative x where ok holds, 0 where it holds nowhere."""
+    return float(x[ok].max(initial=0.0))
+
+
+# centred difference stencils on the spatial interior: rows of a divisor, in units
+# of the spacing's power, and (lattice offset, weight) terms, the first of weight 1
+_E = np.eye(3, dtype=int)
+_CENTRE = 0 * _E[0]
+_FIRST = [(2, ((e, 1), (-e, -1))) for e in _E]
+_SECOND = ([(1, ((e, 1), (_CENTRE, -2), (-e, 1))) for e in _E]
+           + [(4, ((a + b, 1), (a - b, -1), (b - a, -1), (-a - b, 1)))
+              for a, b in itertools.combinations(_E, 2)])
+
+
+def _stencils(v: np.ndarray, valid: np.ndarray, table: list,
+              h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stencils of ``table`` on v (first term, then + w * term, over divisor * h)
+    on a new last axis, and where they count: their centre and reads all valid."""
+    rows = []
+    for divisor, ((o, _), *rest) in table:
+        x = _interior(v, o)
+        for o, w in rest:
+            x = x + w * _interior(v, o)
+        rows.append(x / (divisor * h))
+    reads = [_CENTRE] + [o for _, terms in table for o, _ in terms]
+    return np.stack(rows, axis=-1), np.logical_and.reduce([_interior(valid, o) for o in reads])
 
 
 def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> ClosenessReport:
@@ -387,73 +397,27 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
             f"need >=5 valid points per spatial axis and >=3 time levels, "
             f"have {n_valid_axis} and {n_valid_t}"
         )
-    hx = sample.xs[1] - sample.xs[0]
-    ht = sample.ts[1] - sample.ts[0]
-    v = sample.v
-    valid = sample.valid
+    v, valid, c_star = sample.v, sample.valid, sample.center_value.copy()
+    hx, ht = sample.xs[1] - sample.xs[0], sample.ts[1] - sample.ts[0]
 
-    c_star = sample.center_value.copy()
-
-    dist = np.linalg.norm(v - c_star, axis=-1)
-    sup_dist = float(dist[valid].max())
-
-    # centred stencils on the spatial interior; a stencil value counts only
-    # where every sample it reads is valid
-    e = np.eye(3, dtype=int)
-    centre = [np.zeros(3, dtype=int)]
-    faces = [sign * e[a] for a in range(3) for sign in (1, -1)]
-    diagonals = [sa * e[a] + sb * e[b] for a, b in ((0, 1), (0, 2), (1, 2))
-                 for sa in (1, -1) for sb in (1, -1)]
-
-    def all_valid(offsets):
-        return np.logical_and.reduce([_interior(valid, *o) for o in offsets])
-
-    # first spatial derivatives
-    d1 = np.stack(
-        [(_interior(v, *e[a]) - _interior(v, *-e[a])) / (2 * hx) for a in range(3)],
-        axis=-1,
-    )  # (nt, n-2, n-2, n-2, 3comp, 3dir)
-    d1_valid = all_valid(centre + faces)
-    grad_sup = 0.0
-    if d1_valid.any():
-        grad_sup = float(np.sqrt((d1**2).sum(axis=(-2, -1)))[d1_valid].max())
-
-    # second derivatives: 3 pure + 3 mixed per component
-    second = [(_interior(v, *e[a]) - 2 * _interior(v) + _interior(v, *-e[a])) / hx**2
-              for a in range(3)]
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        cross = (
-            _interior(v, *(e[a] + e[b]))
-            - _interior(v, *(e[a] - e[b]))
-            - _interior(v, *(e[b] - e[a]))
-            + _interior(v, *(-e[a] - e[b]))
-        ) / (4 * hx**2)
-        second.append(cross)
-    d2 = np.stack(second, axis=-1)  # (nt, n-2, n-2, n-2, 3comp, 6)
-    d2_valid = all_valid(centre + faces + diagonals)
-    hess_sup = 0.0
-    if d2_valid.any():
-        hess_sup = float(np.sqrt((d2**2).sum(axis=(-2, -1)))[d2_valid].max())
-
+    # first and second spatial derivatives: (nt, n-2, n-2, n-2, 3 components, 3 or 6)
+    d1, d1_valid = _stencils(v, valid, _FIRST, hx)
+    d2, d2_valid = _stencils(v, valid, _SECOND, hx**2)
     # first time derivative (centered over time levels)
     dt1 = (v[2:] - v[:-2]) / (2 * ht)
     dt1_valid = valid[2:] & valid[:-2] & valid[1:-1]
-    dt_sup = 0.0
-    if dt1_valid.any():
-        dt_sup = float(np.linalg.norm(dt1, axis=-1)[dt1_valid].max())
 
     # parabolic Holder quotients of D2 and of the time derivative
-    holder = max(
-        _lattice_holder(sample.ts, sample.xs[1:-1], d2, d2_valid, config.holder_alpha),
-        _lattice_holder(sample.ts[1:-1], sample.xs, dt1, dt1_valid, config.holder_alpha),
-    )
+    alpha = config.holder_alpha
+    holder = max(_lattice_holder(sample.ts, sample.xs[1:-1], d2, d2_valid, alpha),
+                 _lattice_holder(sample.ts[1:-1], sample.xs, dt1, dt1_valid, alpha))
 
     return ClosenessReport(
         c_star=c_star,
-        sup_dist=sup_dist,
-        grad_sup=grad_sup,
-        hess_sup=hess_sup,
-        dt_sup=dt_sup,
+        sup_dist=_sup(np.linalg.norm(v - c_star, axis=-1), valid),
+        grad_sup=_sup(np.sqrt((d1**2).sum(axis=(-2, -1))), d1_valid),
+        hess_sup=_sup(np.sqrt((d2**2).sum(axis=(-2, -1))), d2_valid),
+        dt_sup=_sup(np.linalg.norm(dt1, axis=-1), dt1_valid),
         holder_seminorm=holder,
         swirl_ratio=swirl_smallness(sample),
     )

@@ -73,6 +73,8 @@ class SolverConfig:
         name, step = ("cfl", self.cfl) if self.dt is None else ("dt", self.dt)
         if not step > 0:
             raise ValueError(f"{name} must be positive, got {step}")
+        if self.cfl is not None and self.cfl > 1:
+            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if not (0 < self.projection_tol <= 1e-4):
             raise ValueError(f"projection_tol must lie in (0, 1e-4], got {self.projection_tol}")
         if self.boundary not in ("dirichlet0", "hold"):
@@ -368,12 +370,12 @@ def _axial_operator(g: Grid) -> Csr:
     return Csr.banded(np.tile(np.array([1.0, -2.0, 1.0]) / g.dz**2, (g.nz - 1, 1)), 0, g.nz + 1)
 
 
-def _axial_basis(g: Grid, neumann: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(V, w, lam) as _diagonalise gives them for L's axial block, d_zz on the n =
-    nz-1 unknown columns, in closed form (Strang 1999): with Dirichlet ends the
-    sine vectors sqrt(2/nz) sin(pi (j+1)(k+1)/nz), with Neumann-folded ends the
-    DCT-II vectors cos(pi k (j+1/2)/n), normalised; read from a table over one
-    period at angles reduced in integers."""
+def _axial_basis(g: Grid, neumann: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(V, lam), orthonormal eigenvectors and eigenvalues of L's axial block, d_zz
+    on the n = nz-1 unknown columns, in closed form (Strang 1999): with Dirichlet
+    ends the sine vectors sqrt(2/nz) sin(pi (j+1)(k+1)/nz), with Neumann-folded
+    ends the DCT-II vectors cos(pi k (j+1/2)/n), normalised; read from a table
+    over one period at angles reduced in integers."""
     n, j, k = g.nz - 1, np.arange(g.nz - 1)[:, None], np.arange(g.nz - 1)
     if neumann:
         table = np.cos(np.pi * np.arange(4 * n) / (2 * n))
@@ -383,7 +385,7 @@ def _axial_basis(g: Grid, neumann: bool) -> tuple[np.ndarray, np.ndarray, np.nda
         table = np.sqrt(2.0 / g.nz) * np.sin(np.pi * np.arange(2 * g.nz) / g.nz)
         V = table[(j + 1) * (k + 1) % (2 * g.nz)]
         theta = np.pi * (k + 1) / (2 * g.nz)
-    return V, np.ones(n), -4.0 / g.dz**2 * np.sin(theta) ** 2
+    return V, -4.0 / g.dz**2 * np.sin(theta) ** 2
 
 
 def _diagonalise(d: np.ndarray, e: np.ndarray,
@@ -443,19 +445,19 @@ class HelmholtzSolver:
             lx[lo:-1, 1:-1] = _product(R, x)[:, 1:-1] + _product(self._Z, x[lo:-1].T).T
         return out
 
-    def solve(self, rhs: AxisymField, bounded: AxisymField, c: float) -> AxisymField:
-        """U with (I - c L) U = rhs on the unknown nodes and U = ``bounded`` on
-        the others; ``bounded`` is rhs with the boundary conditions applied, zero
-        on the vr and vtheta axis rows.  The other fixed values enter through L's
-        couplings of the unknowns next to them: the last row and the end columns."""
+    def solve(self, bounded: AxisymField, c: float) -> AxisymField:
+        """U = ``bounded`` on the fixed nodes and (I - c L) U = ``bounded`` on the
+        others, for a right-hand side with the boundary conditions applied, zero on
+        the vr and vtheta axis rows.  The fixed values enter through L's couplings
+        of the unknowns next to them: the last row and the end columns."""
         out = bounded.copy()
-        for f, x, u, (_, lo, (vr_, wr, lr), (vz_, wz, lz), up_r, end_z) in zip(
-                rhs.v, bounded.v, out.v, self._ops):
+        for x, u, (_, lo, (vr_, wr, lr), (vz_, lz), up_r, end_z) in zip(
+                bounded.v, out.v, self._ops):
             unk = (slice(lo, -1), slice(1, -1))
-            b = f[unk].copy()
+            b = x[unk].copy()
             b[-1] += c * up_r * x[-1, 1:-1]
             b[:, [0, -1]] += c * end_z * x[unk[0], [0, -1]]
-            y = (vr_.T @ (wr[:, None] * b * wz) @ vz_) / (1.0 - c * (lr[:, None] + lz))
+            y = (vr_.T @ (wr[:, None] * b) @ vz_) / (1.0 - c * (lr[:, None] + lz))
             u[unk] = vr_ @ y @ vz_.T
         return out
 
@@ -534,7 +536,7 @@ class AxisymSolver:
 
     def _stage(self, rhs: AxisymField, dt: float, increment: float):
         """Solve (I - GAMMA dt mu L) U = rhs, apply the BCs, project over ``increment``."""
-        u = self.helmholtz.solve(rhs, self._apply_bcs(rhs), GAMMA * dt * self.config.mu)
+        u = self.helmholtz.solve(self._apply_bcs(rhs), GAMMA * dt * self.config.mu)
         return self.projection.project(self._apply_bcs(u), increment)
 
     def step(self, dt: float | None = None) -> None:

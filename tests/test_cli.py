@@ -679,6 +679,32 @@ def test_bad_data_is_a_config_error_that_keeps_the_earlier_snapshots(tmp_path, c
     assert run_outputs(out) == before
 
 
+@pytest.mark.parametrize("section, message", [
+    ("solver:\n  t_end: .inf", "solver.t_end: expected a finite number, got inf"),
+    ("solver:\n  t_end: .nan", "solver.t_end: expected a finite number, got nan"),
+    ("solver:\n  t_end: nan", "solver.t_end: expected a finite number, got 'nan'"),
+    ("solver:\n  t_end: 1e400", "solver.t_end: expected a finite number, got '1e400'"),
+    ("microscope:\n  sigma0: .nan", "microscope.sigma0: expected a finite number"),
+    ("microscope:\n  sigma0: .inf", "microscope.sigma0: expected a finite number"),
+    ("invariants:\n  h0: .nan", "invariants.h0: expected a finite number"),
+    ("data:\n  n0: .nan", "data.n0: expected a finite number"),
+    ("data:\n  core_radius: 0", "data.core_radius must be positive"),
+    ("sweep:\n  solver.t_end: [0.02, .inf]",
+     "sweep.solver.t_end = inf: solver.t_end: expected a finite number"),
+], ids=["t_end=inf", "t_end=nan", "t_end='nan'", "t_end='1e400'", "sigma0=nan",
+        "sigma0=inf", "h0=nan", "n0=nan", "core_radius=0", "sweep_t_end=inf"])
+def test_a_non_finite_or_degenerate_value_is_a_config_error_that_keeps_the_snapshots(
+        tmp_path, capsys, section, message):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _small_ring_config(tmp_path, out)]) == 0
+    before = run_outputs(out)
+    cfg = _write(tmp_path / "bad.yaml", f"grid:\n  nr: 16\n  nz: 16\n{section}\n"
+                 f"output:\n  directory: {out}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert run_outputs(out) == before
+
+
 def test_a_bad_sweep_ring_stops_the_sweep_before_any_member_runs(tmp_path, capsys):
     out = tmp_path / "sweep"
     cfg = _write(

@@ -243,6 +243,28 @@ def test_closeness_insufficient_samples(grid16):
         constant_closeness(sample, cfg)
 
 
+def test_a_cube_valid_on_one_plane_has_no_full_stencil():
+    # the valid samples form the plane x3~ = 0: no first or second difference
+    # reads only valid samples, so the gradient and Hessian sups run over no
+    # stencil and read 0; the time derivative and the sup distance do not mind
+    rng = np.random.default_rng(3)
+    n, nt, length = 9, 5, 1.0
+    xs, ts = np.linspace(-length, length, n), np.linspace(-length**2, 0.0, nt)
+    valid = np.zeros((nt, n, n, n), bool)
+    valid[:, :, :, 4] = True
+    zoom = ZoomParameters(mode="A", t0=0.0, r0=2.0, z0=0.0, q=1.0, ratio=1.0)
+    phys = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1) + zoom.x0
+    sample = CubeSample(zoom=zoom, length=length, xs=xs, ts=ts,
+                        v=rng.normal(size=(nt, n, n, n, 3)), valid=valid, phys=phys,
+                        capped=False)
+    rep = constant_closeness(sample, MicroscopeConfig())
+    assert rep.grad_sup == 0.0 and rep.hess_sup == 0.0
+    assert rep.sup_dist == 5.070141312232465
+    assert rep.dt_sup == 12.894228905633444
+    assert rep.holder_seminorm == 38.80323796036801
+    assert rep.swirl_ratio == 3.414730404497056
+
+
 def test_swirl_smallness_rigid_rotation(grid32):
     from conftest import rigid_rotation
 
