@@ -40,12 +40,6 @@ MICRO_COLUMNS = (
 )
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _load_config(path: str) -> RunConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -86,7 +80,7 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
         fh.write(head)
 
         def emit(rec) -> None:
-            fh.write(",".join(_fmt(x) for x in dataclasses.astuple(rec)) + "\n")
+            fh.write(",".join(map(str, dataclasses.astuple(rec))) + "\n")
 
         def dump_snapshot(s: AxisymSolver) -> None:
             write_snapshot(outdir / f"snap_{s.step_count:08d}.bin", s.t, s.state, s.pressure)
@@ -127,7 +121,7 @@ def run_microscope(cfg: RunConfig, snapshot_dir: str, out_path: str | None = Non
                 rep.dt_sup, rep.holder_seminorm, rep.total, rep.swirl_ratio,
                 sample.masked_fraction, int(sample.capped),
             )
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
             if dump_cubes:
                 write_cube(directory / f"cube_{k:04d}.bin", sample)
     return 0
@@ -173,7 +167,7 @@ def run_sweep(cfg: RunConfig) -> int:
                 sub, output=dataclasses.replace(sub.output, directory=str(subdir))))
             last = Path(subdir, "diagnostics.csv").read_text(encoding="utf-8").strip()
             last_row = last.splitlines()[-1]
-            fh.write(",".join([str(k)] + [_fmt(v) for v in combo]) + "," + last_row + "\n")
+            fh.write(",".join(map(str, (k, *combo))) + "," + last_row + "\n")
     return 0
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse._sparsetools import csr_matvecs
+from scipy.sparse._sparsetools import csc_matvecs, csr_matvecs
 
 from .fields import (
     AxisymField,
@@ -87,28 +87,27 @@ class SolverConfig:
 # spatial operators
 # ---------------------------------------------------------------------------
 
-def _pad_r(f: np.ndarray, parity: int) -> np.ndarray:
-    """Pad 2 ghost rows at the axis (parity) and 2 extrapolated rows outside r_max."""
-    n = f.shape[0]
-    out = np.empty((n + 4, f.shape[1]))
+def _pad(f: np.ndarray, parity: int | None = None) -> np.ndarray:
+    """``f`` with 2 ghost rows on each end of axis 0, quadratically extrapolated;
+    at the start (the axis) the parity images parity f[1] and parity f[2], if given."""
+    out = np.empty((f.shape[0] + 4, f.shape[1]))
     out[2:-2] = f
-    out[1] = parity * f[1]
-    out[0] = parity * f[2]
+    if parity is None:
+        out[1] = 3 * f[0] - 3 * f[1] + f[2]
+        out[0] = 3 * out[1] - 3 * f[0] + f[1]
+    else:
+        out[1], out[0] = parity * f[1], parity * f[2]
     out[-2] = 3 * f[-1] - 3 * f[-2] + f[-3]
     out[-1] = 3 * out[-2] - 3 * f[-1] + f[-2]
     return out
 
 
-def _pad_z(f: np.ndarray) -> np.ndarray:
-    """Pad 2 quadratically extrapolated ghost columns on both z ends."""
-    n = f.shape[1]
-    out = np.empty((f.shape[0], n + 4))
-    out[:, 2:-2] = f
-    out[:, 1] = 3 * f[:, 0] - 3 * f[:, 1] + f[:, 2]
-    out[:, 0] = 3 * out[:, 1] - 3 * f[:, 0] + f[:, 1]
-    out[:, -2] = 3 * f[:, -1] - 3 * f[:, -2] + f[:, -3]
-    out[:, -1] = 3 * out[:, -2] - 3 * f[:, -1] + f[:, -2]
-    return out
+def _upwind(f: np.ndarray, pos: np.ndarray, neg: np.ndarray, h: float) -> np.ndarray:
+    """pos times the backward and neg times the forward second-order difference
+    along axis 0 of the padded ``f`` (index i+2 is node i), spacing h."""
+    back = (3 * f[2:-2] - 4 * f[1:-3] + f[:-4]) / (2 * h)
+    fwd = (-3 * f[2:-2] + 4 * f[3:-1] - f[4:]) / (2 * h)
+    return pos * back + neg * fwd
 
 
 def upwind_split(b: AxisymField) -> tuple[np.ndarray, ...]:
@@ -123,18 +122,9 @@ def advect(b: AxisymField, vals: np.ndarray, parity: int = 1, split=None) -> np.
     negative part the forward one.  ``parity`` gives the axis symmetry of f
     (+1 even, -1 odd) for the ghost rows.
     """
-    dr, dz = b.grid.dr, b.grid.dz
     vr_p, vr_m, vz_p, vz_m = upwind_split(b) if split is None else split
-
-    f = _pad_r(vals, parity)  # index i+2 == physical i
-    back = (3 * f[2:-2] - 4 * f[1:-3] + f[:-4]) / (2 * dr)
-    fwd = (-3 * f[2:-2] + 4 * f[3:-1] - f[4:]) / (2 * dr)
-    radial = vr_p * back + vr_m * fwd  # names reused: frees the radial stencils
-
-    f = _pad_z(vals)
-    back = (3 * f[:, 2:-2] - 4 * f[:, 1:-3] + f[:, :-4]) / (2 * dz)
-    fwd = (-3 * f[:, 2:-2] + 4 * f[:, 3:-1] - f[:, 4:]) / (2 * dz)
-    return radial + (vz_p * back + vz_m * fwd)
+    radial = _upwind(_pad(vals, parity), vr_p, vr_m, b.grid.dr)
+    return radial + _upwind(_pad(vals.T), vz_p.T, vz_m.T, b.grid.dz).T
 
 
 def momentum_rhs(state: AxisymField) -> AxisymField:
@@ -179,32 +169,27 @@ class Csr(NamedTuple):
         indptr = np.searchsorted(rows, np.arange(len(band) + 1))
         return cls(indptr, rows + lo + k, band[rows, k], (len(band), ncols))
 
-    @property
-    def T(self) -> Csr:
-        """The transpose, each row's columns in increasing order."""
-        rows = np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        indptr = np.searchsorted(self.indices[order], np.arange(self.shape[1] + 1))
-        return Csr(indptr, rows[order], self.data[order], self.shape[::-1])
 
-
-def _product(A: Csr, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """out + A @ X for a 2D X (out zero if not given, else C-contiguous and
-    updated in place) by scipy's private CSR kernel, the one its ``A @ X`` calls."""
-    out = np.zeros((A.shape[0], X.shape[1])) if out is None else out
-    csr_matvecs(*A.shape, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
+def _product(A: Csr, X: np.ndarray, out: np.ndarray | None = None,
+             transpose: bool = False) -> np.ndarray:
+    """out + A @ X, or out + A^T @ X if ``transpose``, for a 2D X (out zero if not
+    given, else C-contiguous and updated in place) by scipy's private CSR kernel,
+    the one its ``A @ X`` calls; A^T by its CSC kernel, reading A's rows as A^T's
+    columns, which adds each output row's terms in the CSR kernel's order."""
+    m, n = A.shape[::-1] if transpose else A.shape
+    out = np.zeros((m, X.shape[1])) if out is None else out
+    kernel = csc_matvecs if transpose else csr_matvecs
+    kernel(m, n, X.shape[1], A.indptr, A.indices, A.data, X.ravel(), out.ravel())
     return out
 
 
 class DivergenceFactors(NamedTuple):
     """The discrete divergence D = [Ar (x) I_z, I_r (x) Az] on the nodal (vr, vz)
-    arrays, never assembled: its 1D factors and their transposes.  Ar = d_r +
+    arrays, never assembled: its 1D factors.  Ar = d_r +
     1/r on the nr+1 radial nodes, whose axis row is the limit 2 d_r of an odd
     vr, and Az = d_z on the nz+1 axial nodes."""
     Ar: Csr
     Az: Csr
-    ArT: Csr
-    AzT: Csr
 
 
 def build_divergence_matrix(g: Grid) -> DivergenceFactors:
@@ -222,8 +207,7 @@ def build_divergence_matrix(g: Grid) -> DivergenceFactors:
     i = np.arange(1, g.nr)
     Ar[i, 2] = 1.0 / (i * g.dr)
     Ar[-1, 2] += 1.0 / (g.nr * g.dr)
-    Ar, Az = Csr.banded(Ar, -2, g.nr + 1), Csr.banded(Az, -2, g.nz + 1)
-    return DivergenceFactors(Ar, Az, Ar.T, Az.T)
+    return DivergenceFactors(Csr.banded(Ar, -2, g.nr + 1), Csr.banded(Az, -2, g.nz + 1))
 
 
 def divergence(D: DivergenceFactors, fld: AxisymField) -> np.ndarray:
@@ -233,7 +217,7 @@ def divergence(D: DivergenceFactors, fld: AxisymField) -> np.ndarray:
 
 def gradient(D: DivergenceFactors, s: np.ndarray) -> np.ndarray:
     """D^T applied to the nodal array ``s``: (Ar^T s, s Az), stacked like v[::2]."""
-    return np.stack([_product(D.ArT, s), _product(D.AzT, s.T).T])
+    return np.stack([_product(D.Ar, s, transpose=True), _product(D.Az, s.T, transpose=True).T])
 
 
 def volume_weights(g: Grid) -> np.ndarray:
@@ -305,8 +289,9 @@ class ProjectionOperator:
         pz = free[0, 1].astype(float)
         # each factor applied to its dense transpose with the fixed rows zeroed
         # (and scaled by Wr^-1 in Kr)
-        Kr = _product(D.Ar, (free[0, :, 1] / wr)[:, None] * _product(D.ArT, np.eye(grid.nr + 1)))
-        Kz = _product(D.Az, pz[:, None] * _product(D.AzT, np.eye(grid.nz + 1)))
+        Kr = _product(D.Ar, (free[0, :, 1] / wr)[:, None]
+                      * _product(D.Ar, np.eye(grid.nr + 1), transpose=True))
+        Kz = _product(D.Az, pz[:, None] * _product(D.Az, np.eye(grid.nz + 1), transpose=True))
         phi, self._Vr = scipy.linalg.eigh(Kr, Kr + np.diag(free[1, :, 1] / wr))
         theta, self._Vz = _mirror_eigh(Kz, Kz + np.diag(pz))
         lam = phi[:, None] * (1.0 - theta) + (1.0 - phi[:, None]) * theta

@@ -32,8 +32,7 @@ from axiswirl.solver import (
     SolverConfig,
     _axial_basis,
     _mirror_eigh,
-    _pad_r,
-    _pad_z,
+    _pad,
     _product,
     advect,
     build_divergence_matrix,
@@ -117,11 +116,11 @@ def _advect_nested_where(b, vals, parity):
     """Oracle: the one-sided derivatives picked per node by the sign of the
     velocity, with their mean where it is zero, then multiplied by it."""
     dr, dz = b.grid.dr, b.grid.dz
-    fr = _pad_r(vals, parity)
+    fr = _pad(vals, parity)
     back_r = (3 * fr[2:-2] - 4 * fr[1:-3] + fr[:-4]) / (2 * dr)
     fwd_r = (-3 * fr[2:-2] + 4 * fr[3:-1] - fr[4:]) / (2 * dr)
     d_r = np.where(b.vr > 0, back_r, np.where(b.vr < 0, fwd_r, 0.5 * (back_r + fwd_r)))
-    fz = _pad_z(vals)
+    fz = _pad(vals.T).T
     back_z = (3 * fz[:, 2:-2] - 4 * fz[:, 1:-3] + fz[:, :-4]) / (2 * dz)
     fwd_z = (-3 * fz[:, 2:-2] + 4 * fz[:, 3:-1] - fz[:, 4:]) / (2 * dz)
     d_z = np.where(b.vz > 0, back_z, np.where(b.vz < 0, fwd_z, 0.5 * (back_z + fwd_z)))
@@ -762,21 +761,25 @@ def test_product_equals_the_dense_product(seed):
     A = sp.csr_array(dense)
     square = np.where(rng.random((n, n)) < 0.3, rng.normal(size=(n, n)), 0.0)
     operators = [
-        (_csr(sp.csr_array(square)), square),
-        (_csr(A), dense),
-        (_csr(A[:, 1:-1]), dense[:, 1:-1]),  # a rectangular column slice
-        (_csr(A.T.tocsr()), dense.T),
-        (_csr(A).T, dense.T),  # Csr's own transpose
+        (_csr(sp.csr_array(square)), False, square),
+        (_csr(A), False, dense),
+        (_csr(A[:, 1:-1]), False, dense[:, 1:-1]),  # a rectangular column slice
+        (_csr(A.T.tocsr()), False, dense.T),
+        (_csr(A), True, dense.T),  # the transpose through the CSC kernel
     ]
-    for op, want in operators:
+    for op, transpose, want in operators:
         X = rng.normal(size=(want.shape[1], k))
         acc = rng.normal(size=(want.shape[0], k))
-        got = _product(op, X)
+        got = _product(op, X, transpose=transpose)
         assert np.linalg.norm(got - want @ X) <= 1e-14 * np.linalg.norm(want @ X)
         # out is accumulated in place
         out = acc.copy()
-        assert _product(op, X, out) is out
+        assert _product(op, X, out, transpose) is out
         assert np.linalg.norm(out - (acc + want @ X)) <= 1e-14 * np.linalg.norm(acc + want @ X)
+    # the CSC kernel adds each row's terms in the CSR kernel's order on the sorted transpose
+    X = rng.normal(size=(m, k))
+    np.testing.assert_array_equal(_product(_csr(A), X, transpose=True),
+                                  _product(_csr(A.T.tocsr()), X))
 
 
 # ---------------------------------------------------------------------------
