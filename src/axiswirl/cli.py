@@ -57,17 +57,17 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     # snapshots and diagnostics go to disk as the solver reports them; a fresh
-    # run first removes the snapshots of any earlier run in its directory
-    if not resume:
-        for path in _snapshot_paths(outdir):
-            path.unlink()
-    existing = _snapshot_paths(outdir)
+    # run removes the snapshots of any earlier run in its directory once its
+    # solver is set up (data and first projection), so a failed set-up keeps them
+    existing = _snapshot_paths(outdir) if resume else []
     if existing:
         t0, fld, _ = read_snapshot(existing[-1])
         step0 = int(existing[-1].stem.split("_")[1])
         solver = AxisymSolver(fld, cfg.solver, t0=t0, step0=step0)
     else:
         solver = AxisymSolver(generate(cfg.data, cfg.grid), cfg.solver)
+        for path in _snapshot_paths(outdir):
+            path.unlink()
         (outdir / "config.yaml").write_text(serialize_config(cfg), encoding="utf-8")
 
     diag_path = outdir / "diagnostics.csv"

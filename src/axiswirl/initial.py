@@ -40,6 +40,12 @@ class DataSpec:
             raise ValueError(f"core_radius must be positive, got {self.core_radius}")
         if self.kind == "lamb_oseen" and self.t_offset <= 0:
             raise ValueError(f"t_offset must be positive, got {self.t_offset}")
+        if self.kind == "lamb_oseen" and self.circulation == 0:
+            raise ValueError("circulation must be nonzero: zero is the zero flow")
+        if self.kind == "stream_random" and self.modes < 1:
+            raise ValueError(f"modes must be at least 1, got {self.modes}")
+        if self.kind == "stream_random" and self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.kind == "vortex_ring_swirl" and self.ring_r <= 3 * self.core_radius:
             raise ValueError(
                 f"ring center r={self.ring_r} must exceed 3x core radius {self.core_radius}"

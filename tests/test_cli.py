@@ -679,6 +679,41 @@ def test_bad_data_is_a_config_error_that_keeps_the_earlier_snapshots(tmp_path, c
     assert run_outputs(out) == before
 
 
+@pytest.mark.parametrize("data, message", [
+    ("kind: stream_random\n  modes: 0", "data.modes must be at least 1, got 0"),
+    ("kind: stream_random\n  modes: -2", "data.modes must be at least 1, got -2"),
+    ("kind: stream_random\n  seed: -1", "data.seed must be non-negative, got -1"),
+    ("kind: lamb_oseen\n  circulation: 0", "data.circulation must be nonzero"),
+], ids=["modes=0", "modes=-2", "seed=-1", "circulation=0"])
+def test_zero_flow_or_a_negative_seed_is_a_config_error_that_keeps_the_snapshots(
+        tmp_path, capsys, data, message):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _small_ring_config(tmp_path, out)]) == 0
+    before = run_outputs(out)
+    cfg = _write(tmp_path / "bad.yaml", f"grid:\n  nr: 16\n  nz: 16\ndata:\n  {data}\n"
+                 f"output:\n  directory: {out}\n")
+    assert main(["simulate", "--config", cfg]) == 1
+    assert message in capsys.readouterr().err
+    assert run_outputs(out) == before
+
+
+def test_a_failed_first_projection_leaves_the_earlier_run_in_place(tmp_path):
+    # the outward-flux ring of test_hold_boundary_with_outward_flux_fails_fast,
+    # run into a directory that holds an earlier run: set-up fails before any delete
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _small_ring_config(tmp_path, out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    cfg = _write(
+        tmp_path / "flux.yaml",
+        "grid:\n  nr: 24\n  nz: 40\n  r_max: 1.5\n  z_min: -2.0\n  z_max: 5.0\n"
+        "solver:\n  t_end: 0.01\n  boundary: hold\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        f"output:\n  directory: {out}\n",
+    )
+    assert main(["simulate", "--config", cfg]) == 2
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 @pytest.mark.parametrize("section, message", [
     ("solver:\n  t_end: .inf", "solver.t_end: expected a finite number, got inf"),
     ("solver:\n  t_end: .nan", "solver.t_end: expected a finite number, got nan"),
