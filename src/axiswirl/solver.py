@@ -337,17 +337,23 @@ def stable_dt(g: Grid, cfl: float, qmax: float) -> float:
 def _radial_operator(g: Grid, swirllike: bool) -> np.ndarray:
     """The radial part of L as a band: row k holds the coefficients of f_{i-1},
     f_i and f_{i+1} in L's row i = k + 1 (swirl-like, for fields odd at the axis:
-    d_rr + (1/r) d_r - 1/r^2 at rows 1..nr-1) or i = k (d_rr + (1/r) d_r at rows
-    0..nr-1, whose axis row is the limit 2 d_rr f = 4 (f_1 - f_0)/dr^2 of a
-    field even at the axis).  It is symmetric under the radial volume weights
-    (r_i, and dr/8 on the axis row): weighted, it couples rows i and i+1 by
-    r_{i+1/2}/dr^2."""
+    d_rr + (1/r) d_r - 1/r^2 = d_r (1/r) d_r r at rows 1..nr-1, in the flux form
+    [(G_{i+1} - G_i)/r_{i+1/2} - (G_i - G_{i-1})/r_{i-1/2}]/dr^2 of G = r f, whose
+    rows sum to zero in G, so the implicit solves keep max |r f| from growing) or
+    i = k (d_rr + (1/r) d_r at rows 0..nr-1, whose axis row is the limit
+    2 d_rr f = 4 (f_1 - f_0)/dr^2 of a field even at the axis).  Both are
+    symmetric under the radial volume weights (r_i, and dr/8 on the axis row):
+    weighted, they couple rows i and i+1 by r_i r_{i+1}/(r_{i+1/2} dr^2)
+    (swirl-like) and by r_{i+1/2}/dr^2."""
     dr, r = g.dr, g.r[1:-1]
-    main = np.full(r.shape, -2.0 / dr**2) - (1.0 / r**2 if swirllike else 0.0)
+    if swirllike:
+        i = np.arange(1.0, g.nr)
+        return np.stack([(i - 1) / (i - 0.5), -i * (1 / (i + 0.5) + 1 / (i - 0.5)),
+                         (i + 1) / (i + 0.5)], axis=1) / dr**2
     up = 1.0 / dr**2 + 1.0 / (2 * dr * r)  # coefficient of f_{i+1} in row i
     down = 1.0 / dr**2 - 1.0 / (2 * dr * r)  # coefficient of f_{i-1} in row i
-    band = np.stack([down, main, up], axis=1)
-    return band if swirllike else np.r_[[[0.0, -4.0 / dr**2, 4.0 / dr**2]], band]
+    return np.r_[[[0.0, -4.0 / dr**2, 4.0 / dr**2]],
+                 np.stack([down, np.full(r.shape, -2.0 / dr**2), up], axis=1)]
 
 
 def _axial_operator(g: Grid) -> Csr:

@@ -16,6 +16,7 @@ from axiswirl.checks import (
     check_scaling_covariance,
     check_short_time_bound,
     lamb_oseen_convergence,
+    lamb_oseen_run,
     run_invariant_suite,
 )
 from axiswirl.config import parse_config
@@ -87,6 +88,16 @@ def test_max_principle_lamb_oseen_closed_form():
     assert rep["pass"]
     expect = 1.0 / (2 * np.pi) * (1 - np.exp(-(6.0**2) / (4 * 0.5)))
     assert rep["measured"] == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_held_lamb_oseen_run_keeps_sup_r_vtheta_below_its_start(n):
+    # the swirl-like band's rows sum to zero in r vtheta, so no step of the
+    # held run lifts sup r|vtheta| above Gamma / 2 pi beyond roundoff
+    hist = SnapshotHistory()
+    lamb_oseen_run(n, n, 0.02, history=hist)
+    sups = [max_rvtheta(snap.field) for snap in hist]
+    assert max(sups) <= 1.0 / (2 * np.pi) * (1 + 1e-12)
 
 
 def test_short_time_bound_pass_and_empirical_h0(grid16):

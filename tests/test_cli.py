@@ -58,15 +58,18 @@ def test_simulate_writes_outputs(tmp_path):
 
 
 def test_simulate_zero_data_stays_zero(tmp_path):
+    # no data kind generates the zero flow, so the run resumes from a zero snapshot
     out = tmp_path / "out"
+    out.mkdir()
+    write_snapshot(out / "snap_00000000.bin", 0.0, AxisymField.zeros(Grid(16, 16)),
+                   np.zeros((17, 17)))
     cfg = _write(
         tmp_path / "run.yaml",
         "grid:\n  nr: 16\n  nz: 16\n"
         "solver:\n  dt: 1e-4\n  t_end: 5e-4\n"
-        "data:\n  kind: stream_random\n  modes: 0\n"
         f"output:\n  directory: {out}\n",
     )
-    assert main(["simulate", "--config", cfg]) == 0
+    assert main(["simulate", "--config", cfg, "--resume"]) == 0
     rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
     q_col = DIAG_COLUMNS.index("Q")
     assert all(float(r.split(",")[q_col]) == 0.0 for r in rows)

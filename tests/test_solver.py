@@ -159,14 +159,15 @@ def test_upwind_split_matches_nested_where_oracle(grid32):
 
 def _diffuse_swirllike(v, g):
     """Oracle: the hand-written stencil of [d_rr + (1/r) d_r - 1/r^2 + d_zz] f
-    for a field odd at the axis, on the interior nodes."""
+    for a field odd at the axis, on the interior nodes, its radial part in the
+    flux form of d_r((1/r) d_r G), G = r f: the difference of the fluxes
+    (G_{i+1} - G_i)/(dr r_{i+1/2}) over dr."""
     dr, dz = g.dr, g.dz
     out = np.zeros(g.shape)
-    r = g.r[1:-1, None]
+    G = g.r[:, None] * v
+    flux = (G[1:, 1:-1] - G[:-1, 1:-1]) / (dr * (g.r[1:, None] - dr / 2))  # at r_{i+1/2}
     out[1:-1, 1:-1] = (
-        (v[2:, 1:-1] - 2 * v[1:-1, 1:-1] + v[:-2, 1:-1]) / dr**2
-        + (v[2:, 1:-1] - v[:-2, 1:-1]) / (2 * dr * r)
-        - v[1:-1, 1:-1] / r**2
+        (flux[1:] - flux[:-1]) / dr
         + (v[1:-1, 2:] - 2 * v[1:-1, 1:-1] + v[1:-1, :-2]) / dz**2
     )
     return out
