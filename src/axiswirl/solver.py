@@ -185,9 +185,9 @@ def _product(A: Csr, X: np.ndarray, out: np.ndarray | None = None,
 
 class DivergenceFactors(NamedTuple):
     """The discrete divergence D = [Ar (x) I_z, I_r (x) Az] on the nodal (vr, vz)
-    arrays, never assembled: its 1D factors.  Ar = d_r +
-    1/r on the nr+1 radial nodes, whose axis row is the limit 2 d_r of an odd
-    vr, and Az = d_z on the nz+1 axial nodes."""
+    arrays, never assembled: its 1D factors.  Ar = d_r + 1/r on the nr+1 radial
+    nodes, whose axis row is the limit 2 d_r of an odd vr, and Az = d_z on the
+    nz+1 axial nodes."""
     Ar: Csr
     Az: Csr
 
@@ -337,14 +337,11 @@ def stable_dt(g: Grid, cfl: float, qmax: float) -> float:
 def _radial_operator(g: Grid, swirllike: bool) -> np.ndarray:
     """The radial part of L as a band: row k holds the coefficients of f_{i-1},
     f_i and f_{i+1} in L's row i = k + 1 (swirl-like, for fields odd at the axis:
-    d_rr + (1/r) d_r - 1/r^2 = d_r (1/r) d_r r at rows 1..nr-1, in the flux form
-    [(G_{i+1} - G_i)/r_{i+1/2} - (G_i - G_{i-1})/r_{i-1/2}]/dr^2 of G = r f, whose
-    rows sum to zero in G, so the implicit solves keep max |r f| from growing) or
+    d_rr + (1/r) d_r - 1/r^2 = d_r (1/r) d_r r at rows 1..nr-1 in flux form on
+    G = r f, whose zero row sums in G keep the solves from raising max |G|) or
     i = k (d_rr + (1/r) d_r at rows 0..nr-1, whose axis row is the limit
     2 d_rr f = 4 (f_1 - f_0)/dr^2 of a field even at the axis).  Both are
-    symmetric under the radial volume weights (r_i, and dr/8 on the axis row):
-    weighted, they couple rows i and i+1 by r_i r_{i+1}/(r_{i+1/2} dr^2)
-    (swirl-like) and by r_{i+1/2}/dr^2."""
+    symmetric under the radial volume weights (r_i, and dr/8 on the axis row)."""
     dr, r = g.dr, g.r[1:-1]
     if swirllike:
         i = np.arange(1.0, g.nr)
