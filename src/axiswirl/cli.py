@@ -52,6 +52,36 @@ def _snapshot_paths(directory: Path) -> list[Path]:
     return sorted(directory.glob("snap_*.bin"))
 
 
+def _dotted(cfg: RunConfig) -> dict:
+    """cfg's values by dotted key (section.field, or sweep), in field order."""
+    out = {}
+    for section in dataclasses.fields(RunConfig):
+        value = getattr(cfg, section.name)
+        if dataclasses.is_dataclass(value):
+            out.update((f"{section.name}.{k}", v) for k, v in dataclasses.asdict(value).items())
+        else:
+            out[section.name] = value
+    return out
+
+
+def _check_resume(cfg: RunConfig, stored_path: Path) -> None:
+    """A resumed run continues the run stored with its snapshots: cfg may differ
+    from the stored config only in solver.t_end and the output section."""
+    try:
+        stored = parse_config(stored_path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot resume: cannot read {stored_path}: "
+                          f"{exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ConfigError(f"cannot resume: {stored_path}: {exc}") from None
+    new, old = _dotted(cfg), _dotted(stored)
+    for key, value in new.items():
+        if key != "solver.t_end" and not key.startswith("output.") and value != old[key]:
+            raise ConfigError(f"cannot resume: {key} is {value!r} in the config but "
+                              f"{old[key]!r} in {stored_path}; a resumed run may change "
+                              "only solver.t_end and output")
+
+
 def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     outdir = Path(cfg.output.directory)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -61,6 +91,7 @@ def run_simulate(cfg: RunConfig, resume: bool = False) -> int:
     # solver is set up (data and first projection), so a failed set-up keeps them
     existing = _snapshot_paths(outdir) if resume else []
     if existing:
+        _check_resume(cfg, outdir / "config.yaml")
         t0, fld, _ = read_snapshot(existing[-1])
         step0 = int(existing[-1].stem.split("_")[1])
         solver = AxisymSolver(fld, cfg.solver, t0=t0, step0=step0)

@@ -248,17 +248,31 @@ def _norm(x: np.ndarray) -> np.ndarray:
 
 
 def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
-                    valid: np.ndarray, alpha: float) -> float:
-    """max over pairs of valid samples of |values(a)-values(b)| / d_P(a,b)^alpha.
+                    valid: np.ndarray, alpha: float, floor: float = 0.0) -> float:
+    """max(floor, max over pairs of valid samples of |values(a)-values(b)| / d_P(a,b)^alpha).
 
     The samples sit on the evenly spaced lattice (ts[l], xs[i], xs[j], xs[k]),
     n >= 2: ``values`` is (nt, n, n, n, C) and ``valid`` is (nt, n, n, n).  d_P
     is the parabolic distance max(|dx|, sqrt(|dt|)); pairs closer than 1e-12
-    are skipped.
+    are skipped.  ``floor`` >= 0 is a value the caller already has, such as a
+    seminorm of other data that enters the same maximum.
 
-    Bound, then verify, per pair of time levels, the latest levels first.  The
-    values, centred on a valid sample and scaled by 2^-e to x with |x_c| < 1,
-    are rounded to float32 values a.  With s = fl32(|a|^2 W + 2^-126) and
+    First a whole-field ceiling: every quotient is at most 2 R / d^alpha, with R
+    the largest distance of a valid value from the midrange m of the valid
+    values (so |v_a - v_b| <= |v_a - m| + |v_b - m| <= 2 R), and d the smallest
+    spacing of xs, or square root of a spacing of ts, but at least 1e-12 (the
+    rounded d_P of a pair counted is at least d up to rounding, as rounding is
+    monotone).  The ceiling is widened by _BOUND_SLACK, which covers the relative
+    rounding of R, of the exact formula and of the ceiling, about (C + 20) 2^-53,
+    and by C^.5 2^-535: squares below 2^-1022 round to steps of 2^-1074, which
+    move R and a norm of the exact formula by at most (C 2^-1074)^.5 each.  If
+    the ceiling is at most floor, the result is floor and no bound is formed.  A
+    ceiling below 2^-1000, whose own rounding may be absolute, skips nothing.
+
+    Otherwise bound, then verify, per pair of time levels, the latest levels
+    first, from best = floor.  The values, centred on a valid sample and scaled
+    by 2^-e to x with |x_c| < 1, are rounded to float32 values a.  With
+    s = fl32(|a|^2 W + 2^-126) and
     W = 1 + 2 (C + 7) eps (eps = 2^-23), one float32 product of the rows
     [a, s, 1] and [-2a, 1, s] gives G >= |x_a - x_b|^2 for every pair of valid
     samples.  An invalid sample gets a = 0 and s = -2^64, so a pair that holds
@@ -310,13 +324,26 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
     size = n**3
     f = values.reshape(nt, size, -1)
     ok = valid.reshape(nt, size)
+    fv = f[ok].T.copy()  # (C, valid samples): each reduction runs along a row
+    if fv.shape[1] < 2:
+        return floor
+    mid = (fv.max(axis=1) + fv.min(axis=1)) / 2
+    radius = np.sqrt(((fv - mid[:, None]) ** 2).sum(axis=0).max())
+    spacing = np.diff(np.sort(xs)).min()
+    if nt > 1:
+        spacing = min(spacing, np.sqrt(np.diff(np.sort(ts)).min()))
+    ceiling = ((2 * radius + np.sqrt(len(fv)) * 2.0**-535) * (1 + _BOUND_SLACK)
+               / max(spacing, 1e-12) ** alpha)
+    if floor >= ceiling > 2.0**-1000:
+        return floor
+
     hx, ht = (xs[-1] - xs[0]) / (n - 1), (ts[-1] - ts[0]) / max(nt - 1, 1)
     weights, ijk = _lattice_weights(n, nt, float(np.float32(ht / hx**2)), alpha)
     coords = xs[ijk]
     g = np.where(ok[..., None], f - f.reshape(nt * size, -1)[ok.argmax()], 0.0)
     span = np.abs(g).max()
     if span == 0.0:  # no two valid samples differ
-        return 0.0
+        return floor
     e = np.frexp(span)[1]
     a = np.ldexp(g, -e).astype(np.float32)
     a64 = a.astype(float)
@@ -335,7 +362,8 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
         keep = d > 1e-12
         return float((dv[keep] / d[keep] ** alpha).max()) if keep.any() else 0.0
 
-    best, thr = 0.0, np.float32(-1.0)
+    best = floor
+    thr = _float32_below(np.ldexp(best, -e) ** 2 * scale)
     bound = np.empty((size, size), np.float32)
     levels = np.flatnonzero(ok.any(axis=1))[::-1]
     for i, lb in enumerate(levels):
@@ -407,10 +435,12 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
     dt1 = (v[2:] - v[:-2]) / (2 * ht)
     dt1_valid = valid[2:] & valid[:-2] & valid[1:-1]
 
-    # parabolic Holder quotients of D2 and of the time derivative
+    # parabolic Holder quotients of D2 and of the time derivative; the time
+    # derivative's seminorm is mostly the smaller, so its search starts from
+    # D2's and is skipped when its ceiling cannot beat it
     alpha = config.holder_alpha
-    holder = max(_lattice_holder(sample.ts, sample.xs[1:-1], d2, d2_valid, alpha),
-                 _lattice_holder(sample.ts[1:-1], sample.xs, dt1, dt1_valid, alpha))
+    holder = _lattice_holder(sample.ts[1:-1], sample.xs, dt1, dt1_valid, alpha,
+                             floor=_lattice_holder(sample.ts, sample.xs[1:-1], d2, d2_valid, alpha))
 
     return ClosenessReport(
         c_star=c_star,

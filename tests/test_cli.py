@@ -69,6 +69,8 @@ def test_simulate_zero_data_stays_zero(tmp_path):
         "solver:\n  dt: 1e-4\n  t_end: 5e-4\n"
         f"output:\n  directory: {out}\n",
     )
+    # the run directory holds the config that --resume continues
+    _write(out / "config.yaml", Path(cfg).read_text(encoding="utf-8"))
     assert main(["simulate", "--config", cfg, "--resume"]) == 0
     rows = (out / "diagnostics.csv").read_text(encoding="utf-8").splitlines()[1:]
     q_col = DIAG_COLUMNS.index("Q")
@@ -205,6 +207,7 @@ def test_simulate_and_microscope_commute_with_the_scaling(tmp_path):
     small = Grid(g.nr, g.nz, g.r_max / lam, g.z_min / lam, g.z_max / lam)
     image.mkdir()
     write_snapshot(image / "snap_00000000.bin", t0, AxisymField(small, lam * fld.v), lam**2 * p)
+    _write(image / "config.yaml", Path(cfg_image).read_text(encoding="utf-8"))
     assert main(["simulate", "--config", cfg_image, "--resume"]) == 0
     for out, cfg in ((run, cfg_run), (image, cfg_image)):
         assert main(["microscope", "--config", cfg, "--snapshots", str(out)]) == 0
@@ -411,6 +414,47 @@ def test_cfl_run_resumed_from_one_of_its_own_times_writes_its_bytes(tmp_path, bo
     _simulate_ring(tmp_path, tmp_path / "resumed", solver, t[10], n0=30.0)
     assert _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.1, n0=30.0,
                           resume=True) == whole
+
+
+@pytest.mark.parametrize("edits, key", [
+    ({"nr: 16\n  nz: 16": "nr: 32\n  nz: 32", "dt: 5e-3": "dt: 5e-3\n  mu: 2.0"}, "grid.nr"),
+    ({"dt: 5e-3": "dt: 5e-3\n  mu: 2.0"}, "solver.mu"),
+    ({"dt: 5e-3": "dt: 5e-3\n  boundary: hold"}, "solver.boundary"),
+], ids=["grid", "mu", "boundary"])
+def test_a_resume_that_changes_the_run_is_a_config_error_that_keeps_it(tmp_path, capsys,
+                                                                       edits, key):
+    # a later t_end may change; the first other key that differs from the run's
+    # config.yaml is named, and nothing of the run is touched
+    out = tmp_path / "out"
+    cfg = _small_ring_config(tmp_path, out)
+    assert main(["simulate", "--config", cfg]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    text = Path(cfg).read_text(encoding="utf-8").replace("t_end: 0.02", "t_end: 0.04")
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    capsys.readouterr()
+    assert main(["simulate", "--config", _write(tmp_path / "more.yaml", text), "--resume"]) == 1
+    err = capsys.readouterr().err
+    assert f"cannot resume: {key} is " in err and str(out / "config.yaml") in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+@pytest.mark.parametrize("stored", [None, "grid: [\n", "grid:\n  nr: 16\n  bogus: 1\n"],
+                         ids=["missing", "malformed", "unknown_key"])
+def test_a_resume_without_a_readable_stored_config_is_an_error_that_names_it(tmp_path, capsys,
+                                                                             stored):
+    out = tmp_path / "out"
+    cfg = _small_ring_config(tmp_path, out)
+    assert main(["simulate", "--config", cfg]) == 0
+    if stored is None:
+        (out / "config.yaml").unlink()
+    else:
+        _write(out / "config.yaml", stored)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert main(["simulate", "--config", cfg, "--resume"]) == 1
+    assert str(out / "config.yaml") in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_sweep_writes_summary(tmp_path):

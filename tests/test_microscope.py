@@ -423,6 +423,26 @@ def _holder_case(case):
         xs, ts = np.linspace(-0.37, 0.37, 4), np.linspace(-0.37**2, 0.0, 3)
         values = rng.normal(size=(3, 4, 4, 4, 3)) * np.array([1.0, 1e-40, 1e-50])
         return ts, xs, values, rng.random((3, 4, 4, 4)) < 0.8, 0.5
+    if case == "subnormal_squares_at_the_ceiling":
+        # two valid neighbours whose difference squares to 5.6 * 2^-1074, which
+        # rounds up to 6 * 2^-1074, while the half difference from their midrange
+        # squares to 1.4 * 2^-1074, which rounds down to 2^-1074: the quotient
+        # exceeds twice the rounded radius by 22 %
+        xs, ts = np.linspace(-1.0, 1.0, 3), np.array([0.0])
+        values = np.zeros((1, 3, 3, 3, 1))
+        values[0, 1, 1, 1] = 5.6**0.5 * 2.0**-537
+        valid = np.zeros((1, 3, 3, 3), bool)
+        valid[0, 1, 1, 1] = valid[0, 2, 1, 1] = True
+        return ts, xs, values, valid, 0.5
+    if case == "rounding_above_the_ceiling":
+        # two valid neighbours whose rounded quotient is one ulp above twice
+        # their rounded radius over the rounded spacing to the alpha
+        xs, ts = np.linspace(-1.8592437497248215, 1.8592437497248215, 3), np.array([0.0])
+        values = np.zeros((1, 3, 3, 3, 1))
+        values[0, 1, 1, 1] = 1.5942448414759975
+        valid = np.zeros((1, 3, 3, 3), bool)
+        valid[0, 1, 1, 1] = valid[0, 2, 1, 1] = True
+        return ts, xs, values, valid, 0.5392624923188806
     raise ValueError(case)
 
 
@@ -497,36 +517,77 @@ def test_lattice_holder_needs_two_valid_samples():
     assert microscope._lattice_holder(ts, xs, values, valid, 0.5) == 0.0
 
 
+def _assert_floors(ts, xs, values, valid, alpha):
+    """_lattice_holder with a floor below, at and above the oracle is max(floor, oracle)."""
+    oracle = _oracle_holder(ts, xs, values, valid, alpha)
+    for floor in (0.0, oracle * (1 - 1e-9), np.nextafter(oracle, 0.0), oracle, oracle * (1 + 1e-9)):
+        assert microscope._lattice_holder(ts, xs, values, valid, alpha, floor=floor) == \
+            max(floor, oracle)
+
+
+@pytest.mark.parametrize(
+    "case", ["constant_valid_data", "large_common_offset", "two_pairs_tied", "subnormal_squares",
+             "near_tie", "float32_near_tie", "clusters_far_from_centre",
+             "float32_rounding_shrinks_the_maximum", "float32_flushed_components",
+             "subnormal_squares_at_the_ceiling", "rounding_above_the_ceiling"])
+def test_lattice_holder_floor_where_a_bound_can_mislead(case):
+    _assert_floors(*_holder_case(case))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 5), nt=st.integers(1, 4), comps=st.integers(1, 20),
+       alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       length=st.floats(1e-3, 1e3), offset=st.sampled_from([0.0, 1.0, -3e4, 1e8]),
+       keep=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_lattice_holder_floor_property(n, nt, comps, alpha, length, offset, keep, seed):
+    rng = np.random.default_rng(seed)
+    xs = np.linspace(-length, length, n)
+    ts = np.linspace(-length**2, 0.0, nt)
+    values = offset + rng.normal(size=(nt, n, n, n, comps))
+    valid = rng.random((nt, n, n, n)) < keep
+    valid.flat[seed % valid.size] = True
+    _assert_floors(ts, xs, values, valid, alpha)
+
+
 def test_closeness_holder_equals_oracle_on_ring_cubes(grid32, ring_field, monkeypatch):
-    calls = []
-    lattice_holder = microscope._lattice_holder
+    # the Holder column is the larger of the two all-pairs oracles, of D2 and of
+    # the time derivative, whether or not the time derivative's search ran: a
+    # search builds the lattice weights, and a skipped one does not
+    searches = []
+    lattice_weights = microscope._lattice_weights
 
-    def checked(ts, xs, values, valid, alpha):
-        got = lattice_holder(ts, xs, values, valid, alpha)
-        calls.append(_oracle_holder(ts, xs, values, valid, alpha))
-        assert got == calls[-1]
-        return got
+    def counted(*args):
+        searches.append(args)
+        return lattice_weights(*args)
 
-    monkeypatch.setattr(microscope, "_lattice_holder", checked)
+    monkeypatch.setattr(microscope, "_lattice_weights", counted)
     fields = [ring_field.copy() for _ in range(3)]
     for k, fld in enumerate(fields):
         fld.vr *= 1.0 + 0.5 * k
         fld.vz *= 1.0 + 0.5 * k
     hist = _history(grid32, fields, [0.0, 0.1, 0.2])
     cfg = MicroscopeConfig(sigma0=8.0, cube_resolution=7)
-    reports = 0
+    reports, skipped = 0, 0
     for mode in ("A", "B"):
         for zoom in find_almost_maximal(hist, mode, cfg.ratio_threshold):
             sample = rescale_history(hist, zoom, cfg)
-            calls.clear()
+            searches.clear()
             try:
                 rep = constant_closeness(sample, cfg)
             except InsufficientSamplesError:
                 continue
             reports += 1
-            assert len(calls) == 2
-            assert rep.holder_seminorm == max(calls) > 0.0
+            skipped += len(searches) == 1
+            v, valid, alpha = sample.v, sample.valid, cfg.holder_alpha
+            hx, ht = sample.xs[1] - sample.xs[0], sample.ts[1] - sample.ts[0]
+            d2, d2_valid = microscope._stencils(v, valid, microscope._SECOND, hx**2)
+            dt1 = (v[2:] - v[:-2]) / (2 * ht)
+            dt1_valid = valid[2:] & valid[:-2] & valid[1:-1]
+            oracles = (_oracle_holder(sample.ts, sample.xs[1:-1], d2, d2_valid, alpha),
+                       _oracle_holder(sample.ts[1:-1], sample.xs, dt1, dt1_valid, alpha))
+            assert rep.holder_seminorm == max(oracles) > 0.0
     assert reports >= 2
+    assert skipped >= 1
 
 
 # ---------------------------------------------------------------- report
