@@ -207,7 +207,7 @@ def write_atomic(path, header: bytes, arrays) -> None:
         with open(part, "wb") as fh:
             fh.write(header)
             for arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<f8"))
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

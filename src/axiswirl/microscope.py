@@ -162,7 +162,8 @@ def rescale_history(history: SnapshotHistory, zoom: ZoomParameters,
     n, nt = config.cube_resolution, config.cube_time_levels
     xs = np.linspace(-L, L, n)
     ts = np.linspace(-L * L, 0.0, nt)
-    phys = np.stack(np.meshgrid(xs, xs, xs, indexing="ij"), axis=-1) / zoom.q + zoom.x0
+    phys = np.empty((n, n, n, 3))  # the cube points, xs / q + x0[c] along axis c
+    phys[..., 0], phys[..., 1], phys[..., 2] = np.ix_(*(xs / zoom.q + x for x in zoom.x0))
 
     # a time level inside the history reads the two snapshots that bracket it, the
     # later with its linear weight, or one snapshot at either end
@@ -257,17 +258,18 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
     are skipped.  ``floor`` >= 0 is a value the caller already has, such as a
     seminorm of other data that enters the same maximum.
 
-    First a whole-field ceiling: every quotient is at most 2 R / d^alpha, with R
-    the largest distance of a valid value from the midrange m of the valid
-    values (so |v_a - v_b| <= |v_a - m| + |v_b - m| <= 2 R), and d the smallest
-    spacing of xs, or square root of a spacing of ts, but at least 1e-12 (the
-    rounded d_P of a pair counted is at least d up to rounding, as rounding is
-    monotone).  The ceiling is widened by _BOUND_SLACK, which covers the relative
-    rounding of R, of the exact formula and of the ceiling, about (C + 20) 2^-53,
-    and by C^.5 2^-535: squares below 2^-1022 round to steps of 2^-1074, which
-    move R and a norm of the exact formula by at most (C 2^-1074)^.5 each.  If
-    the ceiling is at most floor, the result is floor and no bound is formed.  A
-    ceiling below 2^-1000, whose own rounding may be absolute, skips nothing.
+    For a positive floor, first a whole-field ceiling: every quotient is at most
+    2 R / d^alpha, with R the largest distance of a valid value from the midrange
+    m of the valid values (so |v_a - v_b| <= |v_a - m| + |v_b - m| <= 2 R), and d
+    the smallest spacing of xs, or square root of a spacing of ts, but at least
+    1e-12 (the rounded d_P of a pair counted is at least d up to rounding, as
+    rounding is monotone).  The ceiling is widened by _BOUND_SLACK, which covers
+    the relative rounding of R, of the exact formula and of the ceiling, about
+    (C + 20) 2^-53, and by C^.5 2^-535: squares below 2^-1022 round to steps of
+    2^-1074, which move R and a norm of the exact formula by at most
+    (C 2^-1074)^.5 each.  If the ceiling is at most floor, the result is floor
+    and no bound is formed.  A ceiling below 2^-1000, whose own rounding may be
+    absolute, skips nothing.  The ceiling is positive, so a floor of 0 forms none.
 
     Otherwise bound, then verify, per pair of time levels, the latest levels
     first, from best = floor.  The values, centred on a valid sample and scaled
@@ -282,9 +284,9 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
     t = (q 2^-e)^2 hx^(2 alpha) / (1 + _BOUND_SLACK), or -1 if t < 2^-100.  A
     level pair whose largest bound is at most T(best), best the largest quotient
     so far, is done after its argmax.  Otherwise its top pair is evaluated, and
-    then every pair whose bound exceeds the new T(best).  Evaluations use the
-    floating-point operations of a direct evaluation of the two norms, so the
-    result is exact, bit for bit.
+    then every pair whose bound exceeds the new T(best), unless that top pair is
+    the only one.  Evaluations use the floating-point operations of a direct
+    evaluation of the two norms, so the result is exact, bit for bit.
 
     Why G >= |x_a - x_b|^2, for C <= 2^19 (u = 2^-24, eta = 2^-149; the error
     model of Higham, Accuracy and Stability of Numerical Algorithms, 2002,
@@ -324,18 +326,19 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
     size = n**3
     f = values.reshape(nt, size, -1)
     ok = valid.reshape(nt, size)
-    fv = f[ok].T.copy()  # (C, valid samples): each reduction runs along a row
-    if fv.shape[1] < 2:
+    if np.count_nonzero(ok) < 2:
         return floor
-    mid = (fv.max(axis=1) + fv.min(axis=1)) / 2
-    radius = np.sqrt(((fv - mid[:, None]) ** 2).sum(axis=0).max())
-    spacing = np.diff(np.sort(xs)).min()
-    if nt > 1:
-        spacing = min(spacing, np.sqrt(np.diff(np.sort(ts)).min()))
-    ceiling = ((2 * radius + np.sqrt(len(fv)) * 2.0**-535) * (1 + _BOUND_SLACK)
-               / max(spacing, 1e-12) ** alpha)
-    if floor >= ceiling > 2.0**-1000:
-        return floor
+    if floor > 0:
+        fv = f[ok].T.copy()  # (C, valid samples): each reduction runs along a row
+        mid = (fv.max(axis=1) + fv.min(axis=1)) / 2
+        radius = np.sqrt(((fv - mid[:, None]) ** 2).sum(axis=0).max())
+        spacing = np.diff(np.sort(xs)).min()
+        if nt > 1:
+            spacing = min(spacing, np.sqrt(np.diff(np.sort(ts)).min()))
+        ceiling = ((2 * radius + np.sqrt(len(fv)) * 2.0**-535) * (1 + _BOUND_SLACK)
+                   / max(spacing, 1e-12) ** alpha)
+        if floor >= ceiling > 2.0**-1000:
+            return floor
 
     hx, ht = (xs[-1] - xs[0]) / (n - 1), (ts[-1] - ts[0]) / max(nt - 1, 1)
     weights, ijk = _lattice_weights(n, nt, float(np.float32(ht / hx**2)), alpha)
@@ -376,15 +379,12 @@ def _lattice_holder(ts: np.ndarray, xs: np.ndarray, values: np.ndarray,
             best = max(best, exact(la, lb, np.array([top])))
             thr = _float32_below(np.ldexp(best, -e) ** 2 * scale)
             pairs = np.flatnonzero(bound > thr)
+            if len(pairs) == 1 and pairs[0] == top:  # the top pair, just evaluated
+                continue
             for k in range(0, len(pairs), 4096):
                 best = max(best, exact(la, lb, pairs[k:k + 4096]))
             thr = _float32_below(np.ldexp(best, -e) ** 2 * scale)
     return best
-
-
-def _interior(a: np.ndarray, o) -> np.ndarray:
-    """Spatial interior of ``a`` (axes 1-3) shifted by the lattice offset o."""
-    return a[(slice(None),) + tuple(slice(1 + k, a.shape[1] - 1 + k) for k in o)]
 
 
 def _sup(x: np.ndarray, ok: np.ndarray) -> float:
@@ -392,28 +392,36 @@ def _sup(x: np.ndarray, ok: np.ndarray) -> float:
     return float(x[ok].max(initial=0.0))
 
 
+def _table(rows: list) -> tuple[list, list]:
+    """Stencil rows of (divisor, (lattice offset, weight) terms) with each offset as the
+    index of the spatial interior (axes 1-3) shifted by it; the index of each read."""
+    def at(o):
+        return (slice(None),) + tuple(slice(1 + k, k - 1 or None) for k in o)
+    reads = {tuple(o) for _, terms in rows for o, _ in terms} | {(0, 0, 0)}
+    return [(d, [(at(o), w) for o, w in terms]) for d, terms in rows], [at(o) for o in sorted(reads)]
+
+
 # centred difference stencils on the spatial interior: rows of a divisor, in units
 # of the spacing's power, and (lattice offset, weight) terms, the first of weight 1
 _E = np.eye(3, dtype=int)
-_CENTRE = 0 * _E[0]
-_FIRST = [(2, ((e, 1), (-e, -1))) for e in _E]
-_SECOND = ([(1, ((e, 1), (_CENTRE, -2), (-e, 1))) for e in _E]
-           + [(4, ((a + b, 1), (a - b, -1), (b - a, -1), (-a - b, 1)))
-              for a, b in itertools.combinations(_E, 2)])
+_FIRST = _table([(2, ((e, 1), (-e, -1))) for e in _E])
+_SECOND = _table([(1, ((e, 1), (0 * e, -2), (-e, 1))) for e in _E]
+                 + [(4, ((a + b, 1), (a - b, -1), (b - a, -1), (-a - b, 1)))
+                    for a, b in itertools.combinations(_E, 2)])
 
 
-def _stencils(v: np.ndarray, valid: np.ndarray, table: list,
-              h: float) -> tuple[np.ndarray, np.ndarray]:
-    """The stencils of ``table`` on v (first term, then + w * term, over divisor * h)
-    on a new last axis, and where they count: their centre and reads all valid."""
-    rows = []
-    for divisor, ((o, _), *rest) in table:
-        x = _interior(v, o)
-        for o, w in rest:
-            x = x + w * _interior(v, o)
-        rows.append(x / (divisor * h))
-    reads = [_CENTRE] + [o for _, terms in table for o, _ in terms]
-    return np.stack(rows, axis=-1), np.logical_and.reduce([_interior(valid, o) for o in reads])
+def _stencils(v: np.ndarray, valid: np.ndarray, table, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """The stencils of ``table`` on v (first term, then + w * term, or - term if w = -1,
+    over divisor * h) on a new last axis, and where their centre and reads are valid."""
+    rows, reads = table
+    d = np.empty(v[reads[0]].shape + (len(rows),))
+    for r, (divisor, ((first, _), *rest)) in enumerate(rows):
+        x, into = v[first], None
+        for at, w in rest:
+            op = np.subtract if w == -1 else np.add
+            x = into = op(x, v[at] if abs(w) == 1 else w * v[at], out=into)
+        np.divide(x, divisor * h, out=d[..., r])
+    return d, np.logical_and.reduce([valid[at] for at in reads])
 
 
 def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> ClosenessReport:
@@ -444,10 +452,10 @@ def constant_closeness(sample: CubeSample, config: MicroscopeConfig) -> Closenes
 
     return ClosenessReport(
         c_star=c_star,
-        sup_dist=_sup(np.linalg.norm(v - c_star, axis=-1), valid),
+        sup_dist=_sup(_norm(v - c_star), valid),
         grad_sup=_sup(np.sqrt((d1**2).sum(axis=(-2, -1))), d1_valid),
         hess_sup=_sup(np.sqrt((d2**2).sum(axis=(-2, -1))), d2_valid),
-        dt_sup=_sup(np.linalg.norm(dt1, axis=-1), dt1_valid),
+        dt_sup=_sup(_norm(dt1), dt1_valid),
         holder_seminorm=holder,
         swirl_ratio=swirl_smallness(sample),
     )

@@ -87,27 +87,38 @@ class SolverConfig:
 # spatial operators
 # ---------------------------------------------------------------------------
 
-def _pad(f: np.ndarray, parity: int | None = None) -> np.ndarray:
-    """``f`` with 2 ghost rows on each end of axis 0, quadratically extrapolated;
+def _pad(f: np.ndarray, parity: int | None = None, axis: int = 0) -> np.ndarray:
+    """``f`` with 2 ghost rows on each end of ``axis``, quadratically extrapolated;
     at the start (the axis) the parity images parity f[1] and parity f[2], if given."""
-    out = np.empty((f.shape[0] + 4, f.shape[1]))
-    out[2:-2] = f
+    out = np.empty([m + 4 * (k == axis) for k, m in enumerate(f.shape)])
+    o, f = out.swapaxes(0, axis), f.swapaxes(0, axis)
+    o[2:-2] = f
     if parity is None:
-        out[1] = 3 * f[0] - 3 * f[1] + f[2]
-        out[0] = 3 * out[1] - 3 * f[0] + f[1]
+        o[1] = 3 * f[0] - 3 * f[1] + f[2]
+        o[0] = 3 * o[1] - 3 * f[0] + f[1]
     else:
-        out[1], out[0] = parity * f[1], parity * f[2]
-    out[-2] = 3 * f[-1] - 3 * f[-2] + f[-3]
-    out[-1] = 3 * out[-2] - 3 * f[-1] + f[-2]
+        o[1], o[0] = parity * f[1], parity * f[2]
+    o[-2] = 3 * f[-1] - 3 * f[-2] + f[-3]
+    o[-1] = 3 * o[-2] - 3 * f[-1] + f[-2]
     return out
 
 
-def _upwind(f: np.ndarray, pos: np.ndarray, neg: np.ndarray, h: float) -> np.ndarray:
+def _upwind(f: np.ndarray, pos: np.ndarray, neg: np.ndarray, h: float, axis: int = 0) -> np.ndarray:
     """pos times the backward and neg times the forward second-order difference
-    along axis 0 of the padded ``f`` (index i+2 is node i), spacing h."""
-    back = (3 * f[2:-2] - 4 * f[1:-3] + f[:-4]) / (2 * h)
-    fwd = (-3 * f[2:-2] + 4 * f[3:-1] - f[4:]) / (2 * h)
-    return pos * back + neg * fwd
+    along ``axis`` of the padded ``f`` (index i+2 is node i), spacing h."""
+    f0, f1, f2, f3, f4 = (f[(slice(None),) * axis + (slice(k, k - 4 or None),)] for k in range(5))
+    c3 = 3 * f2
+    back = 4 * f1
+    np.subtract(c3, back, out=back)
+    back += f0
+    back /= 2 * h
+    back *= pos
+    fwd = 4 * f3
+    fwd -= c3  # -3 f_i + 4 f_i+1 by commutation
+    fwd -= f4
+    fwd /= 2 * h
+    fwd *= neg
+    return np.add(back, fwd, out=back)
 
 
 def upwind_split(b: AxisymField) -> tuple[np.ndarray, ...]:
@@ -123,8 +134,9 @@ def advect(b: AxisymField, vals: np.ndarray, parity: int = 1, split=None) -> np.
     (+1 even, -1 odd) for the ghost rows.
     """
     vr_p, vr_m, vz_p, vz_m = upwind_split(b) if split is None else split
-    radial = _upwind(_pad(vals, parity), vr_p, vr_m, b.grid.dr)
-    return radial + _upwind(_pad(vals.T), vz_p.T, vz_m.T, b.grid.dz).T
+    out = _upwind(_pad(vals, parity), vr_p, vr_m, b.grid.dr)
+    out += _upwind(_pad(vals, axis=1), vz_p, vz_m, b.grid.dz, axis=1)
+    return out
 
 
 def momentum_rhs(state: AxisymField) -> AxisymField:

@@ -11,7 +11,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
 
+from axiswirl import microscope  # noqa: E402
 from axiswirl.cli import main  # noqa: E402
+from axiswirl.fields import SnapshotHistory, read_snapshot  # noqa: E402
 
 
 def test_spans_see_every_step_diagnostics_row_and_snapshot_of_a_simulate(tmp_path):
@@ -70,3 +72,49 @@ def test_spans_see_the_suite_the_zoom_check_and_its_two_steps_in_a_validate(tmp_
         k for k, s in enumerate(tracer.spans) if s[0] == "checks.run_invariant_suite")
     # the zoomed solver retakes the run's first two steps
     assert [s[0] for s in tracer.spans if s[3] == zoom].count("solver.step") == 2
+
+
+def test_spans_see_every_candidate_cube_and_row_of_a_microscope(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(
+        "grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
+        "solver:\n  dt: 5e-3\n  t_end: 0.02\n  snapshot_every: 2\n"
+        "data:\n  kind: vortex_ring_swirl\n  n0: 1.0\n"
+        "microscope:\n  sigma0: 80.0\n"
+        f"output:\n  directory: {out}\n",
+        encoding="utf-8",
+    )
+    assert main(["simulate", "--config", str(cfg)]) == 0
+    timer = spans.SetupTimer("snapshots")
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        assert main(["microscope", "--config", str(cfg), "--snapshots", str(out),
+                     "--dump-cubes"]) == 0
+    finally:
+        tracer.uninstall()
+        timer.close()
+    # the candidates and the cubes that are not fully masked, found apart from the run
+    history = SnapshotHistory()
+    for path in sorted(out.glob("snap_*.bin")):
+        history.push(*read_snapshot(path)[:2])
+    config = microscope.MicroscopeConfig(sigma0=80.0)
+    candidates = [z for mode in ("A", "B")
+                  for z in microscope.find_almost_maximal(history, mode, config.ratio_threshold)]
+    cubes = 0
+    for zoom in candidates:
+        try:
+            microscope.rescale_history(history, zoom, config)
+        except microscope.InsufficientSamplesError:
+            continue
+        cubes += 1
+    calls = Counter(name for name, _t0, _t1, _parent in tracer.spans)
+    assert calls["microscope.find_almost_maximal"] == 2
+    assert calls["microscope.rescale_history"] == len(candidates) == \
+        tracer.counters["microscope.candidates"]
+    assert calls["microscope.constant_closeness"] == cubes > 0
+    rows = len((out / "microscope.csv").read_text(encoding="utf-8").splitlines()) - 1
+    assert tracer.counters["microscope.rows"] == rows > 0
+    assert len(list(out.glob("cube_*.bin"))) == rows
+    assert timer.total > 0

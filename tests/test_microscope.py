@@ -1,5 +1,6 @@
 """Tests for candidate detection, cube rescaling and closeness-to-constant."""
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -263,6 +264,48 @@ def test_a_cube_valid_on_one_plane_has_no_full_stencil():
     assert rep.dt_sup == 12.894228905633444
     assert rep.holder_seminorm == 38.80323796036801
     assert rep.swirl_ratio == 3.414730404497056
+
+
+# the difference stencils as (lattice offset, weight) terms, the first of weight 1
+_E = np.eye(3, dtype=int)
+_FIRST_TERMS = [(2, ((e, 1), (-e, -1))) for e in _E]
+_SECOND_TERMS = ([(1, ((e, 1), (0 * e, -2), (-e, 1))) for e in _E]
+                 + [(4, ((a + b, 1), (a - b, -1), (b - a, -1), (-a - b, 1)))
+                    for a, b in itertools.combinations(_E, 2)])
+
+
+def _stencils_by_shifted_copies(v, valid, terms, h):
+    """Oracle: each row as its first shifted interior plus w times each further
+    one, over divisor * h; valid where the centre and every read are."""
+    def shifted(a, o):
+        return a[(slice(None),) + tuple(slice(1 + k, a.shape[1] - 1 + k) for k in o)]
+
+    rows = []
+    for divisor, ((o, _), *rest) in terms:
+        x = shifted(v, o)
+        for o, w in rest:
+            x = x + w * shifted(v, o)
+        rows.append(x / (divisor * h))
+    reads = [0 * _E[0]] + [o for _, row in terms for o, _ in row]
+    return np.stack(rows, axis=-1), np.logical_and.reduce([shifted(valid, o) for o in reads])
+
+
+@pytest.mark.parametrize("n", [5, 7, 9])
+@pytest.mark.parametrize("nt", [3, 5])
+def test_stencils_equal_the_weighted_sums_of_shifted_copies_bit_for_bit(n, nt):
+    rng = np.random.default_rng(10 * n + nt)
+    v = rng.normal(size=(nt, n, n, n, 3))
+    u = rng.random(v.shape)
+    v[u < 0.15] = 0.0
+    v[u > 0.9] = -0.0
+    valid = rng.random((nt, n, n, n)) < 0.9
+    h = 2.0 / (n - 1)
+    for table, terms, step in ((microscope._FIRST, _FIRST_TERMS, h),
+                               (microscope._SECOND, _SECOND_TERMS, h**2)):
+        got, ok = microscope._stencils(v, valid, table, step)
+        want, want_ok = _stencils_by_shifted_copies(v, valid, terms, step)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert ok.any() and not ok.all() and np.array_equal(ok, want_ok)
 
 
 def test_swirl_smallness_rigid_rotation(grid32):

@@ -153,6 +153,52 @@ def test_upwind_split_matches_nested_where_oracle(grid32):
     np.testing.assert_allclose(rhs.vz, -_advect_nested_where(b, vz, 1), rtol=1e-14, atol=0)
 
 
+def _advect_by_transposed_pads(b, vals, parity, split=None):
+    """Oracle: the upwind sum with each axis's ghost rows on a padded copy, the
+    axial one made from vals.T and its differences transposed back."""
+    def pad(f, parity=None):
+        out = np.empty((f.shape[0] + 4, f.shape[1]))
+        out[2:-2] = f
+        if parity is None:
+            out[1] = 3 * f[0] - 3 * f[1] + f[2]
+            out[0] = 3 * out[1] - 3 * f[0] + f[1]
+        else:
+            out[1], out[0] = parity * f[1], parity * f[2]
+        out[-2] = 3 * f[-1] - 3 * f[-2] + f[-3]
+        out[-1] = 3 * out[-2] - 3 * f[-1] + f[-2]
+        return out
+
+    def upwind(f, pos, neg, h):
+        back = (3 * f[2:-2] - 4 * f[1:-3] + f[:-4]) / (2 * h)
+        fwd = (-3 * f[2:-2] + 4 * f[3:-1] - f[4:]) / (2 * h)
+        return pos * back + neg * fwd
+
+    vr_p, vr_m, vz_p, vz_m = upwind_split(b) if split is None else split
+    radial = upwind(pad(vals, parity), vr_p, vr_m, b.grid.dr)
+    return radial + upwind(pad(vals.T), vz_p.T, vz_m.T, b.grid.dz).T
+
+
+def test_advect_and_momentum_rhs_equal_the_transposed_pads_bit_for_bit():
+    # a non-square grid, so that differences taken along the wrong axis fail
+    g = Grid(24, 40, 2.0, -1.5, 2.5)
+    rng = np.random.default_rng(5)
+    vr, vtheta, vz = rng.normal(size=(3,) + g.shape)
+    vr[rng.random(g.shape) < 0.3] = 0.0
+    vz[rng.random(g.shape) < 0.3] = 0.0
+    b = AxisymField(g, np.stack([vr, vtheta, vz]))
+    split = upwind_split(b)
+    for vals, parity in ((vr, -1), (vtheta, -1), (vz, 1), (rng.normal(size=g.shape), 1)):
+        want = _advect_by_transposed_pads(b, vals, parity).tobytes()
+        assert advect(b, vals, parity).tobytes() == want
+        assert advect(b, vals, parity, split).tobytes() == want
+    rinv = np.r_[0.0, 1.0 / g.r[1:]][:, None]
+    rhs = momentum_rhs(b)
+    for got, want in ((rhs.vr, -_advect_by_transposed_pads(b, vr, -1) + vtheta**2 * rinv),
+                      (rhs.vtheta, -_advect_by_transposed_pads(b, vtheta, -1) - vr * vtheta * rinv),
+                      (rhs.vz, -_advect_by_transposed_pads(b, vz, 1))):
+        assert got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # viscous operator
 # ---------------------------------------------------------------------------
