@@ -21,7 +21,6 @@ class DataSpec:
     n0: float = 1.0
     # lamb_oseen
     circulation: float = 1.0
-    nu: float = 1.0
     t_offset: float = 0.5
     # vortex_ring_swirl
     ring_r: float = 1.5
@@ -52,20 +51,20 @@ class DataSpec:
             )
 
 
-def lamb_oseen_profile(r: np.ndarray, circulation: float, nu: float, t: float) -> np.ndarray:
-    """Swirl speed (circulation/(2 pi r))(1 - exp(-r^2/(4 nu t))); regular at r=0."""
+def lamb_oseen_profile(r: np.ndarray, circulation: float, t: float) -> np.ndarray:
+    """Swirl speed (circulation/(2 pi r))(1 - exp(-r^2/(4 t))); regular at r=0."""
     r = np.asarray(r, dtype=float)
     small = r < 1e-8
     rr = np.where(small, 1.0, r)
-    out = circulation / (2 * np.pi * rr) * (-np.expm1(-(rr**2) / (4 * nu * t)))
-    out = np.where(small, circulation * r / (8 * np.pi * nu * t), out)
+    out = circulation / (2 * np.pi * rr) * (-np.expm1(-(rr**2) / (4 * t)))
+    out = np.where(small, circulation * r / (8 * np.pi * t), out)
     return out
 
 
-def lamb_oseen_field(circulation: float, nu: float, t_offset: float, grid: Grid) -> AxisymField:
+def lamb_oseen_field(circulation: float, t_offset: float, grid: Grid) -> AxisymField:
     """Pure-swirl analytic solution sampled on the grid at time ``t_offset`` > 0."""
     fld = AxisymField.zeros(grid)
-    fld.vtheta = lamb_oseen_profile(grid.r, circulation, nu, t_offset)[:, None]
+    fld.vtheta = lamb_oseen_profile(grid.r, circulation, t_offset)[:, None]
     return fld
 
 
@@ -127,7 +126,7 @@ def stream_random(spec: DataSpec, grid: Grid) -> AxisymField:
 
 def generate(spec: DataSpec, grid: Grid) -> AxisymField:
     if spec.kind == "lamb_oseen":
-        return lamb_oseen_field(spec.circulation, spec.nu, spec.t_offset, grid)
+        return lamb_oseen_field(spec.circulation, spec.t_offset, grid)
     if spec.kind == "vortex_ring_swirl":
         return vortex_ring_swirl(spec, grid)
     return stream_random(spec, grid)

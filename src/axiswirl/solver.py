@@ -1,4 +1,4 @@
-"""Time integration of the axisymmetric Navier-Stokes system with swirl.
+"""Time integration of the unit-viscosity axisymmetric Navier-Stokes system with swirl.
 
 IMEX Runge-Kutta (Ascher, Ruuth & Spiteri 1997, the L-stable (2,2,2) scheme):
 advection and the curvature terms are explicit, the viscous terms implicit,
@@ -57,7 +57,6 @@ class UnstableError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    mu: float = 1.0
     dt: float | None = None
     cfl: float | None = None
     t_end: float = 1.0
@@ -66,8 +65,6 @@ class SolverConfig:
     boundary: str = "dirichlet0"  # "dirichlet0" | "hold"
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"viscosity must be positive, got {self.mu}")
         if (self.dt is None) == (self.cfl is None):
             raise ValueError("exactly one of dt / cfl must be given")
         name, step = ("cfl", self.cfl) if self.dt is None else ("dt", self.dt)
@@ -535,8 +532,8 @@ class AxisymSolver:
         return stable_dt(self.grid, cfg.cfl, q)
 
     def _stage(self, rhs: AxisymField, dt: float, increment: float):
-        """Solve (I - GAMMA dt mu L) U = rhs, apply the BCs, project over ``increment``."""
-        u = self.helmholtz.solve(self._apply_bcs(rhs), GAMMA * dt * self.config.mu)
+        """Solve (I - GAMMA dt L) U = rhs, apply the BCs, project over ``increment``."""
+        u = self.helmholtz.solve(self._apply_bcs(rhs), GAMMA * dt)
         return self.projection.project(self._apply_bcs(u), increment)
 
     def step(self, dt: float | None = None) -> None:
@@ -547,7 +544,7 @@ class AxisymSolver:
         u1, _ = self._stage(_combine((1.0, u), (GAMMA * dt, e0)), dt, GAMMA * dt)
         e1 = momentum_rhs(u1)
         rhs = _combine((1.0, u), (DELTA * dt, e0), ((1.0 - DELTA) * dt, e1),
-                       ((1.0 - GAMMA) * dt * self.config.mu, self.helmholtz.laplacian(u1)))
+                       ((1.0 - GAMMA) * dt, self.helmholtz.laplacian(u1)))
         u2, p = self._stage(rhs, dt, dt)
 
         if not u2.is_finite():

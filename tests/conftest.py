@@ -29,10 +29,10 @@ def rigid_rotation(grid, omega=0.7):
     return fld
 
 
-def lamb_oseen_peak(circulation, nu, t, r_hi=50.0, n=200_001):
+def lamb_oseen_peak(circulation, t, r_hi=50.0, n=200_001):
     """(peak speed, peak radius) from a dense 1D scan of the analytic profile."""
-    r = np.linspace(0.0, r_hi * np.sqrt(4 * nu * t), n)
-    v = lamb_oseen_profile(r, circulation, nu, t)
+    r = np.linspace(0.0, r_hi * np.sqrt(4 * t), n)
+    v = lamb_oseen_profile(r, circulation, t)
     i = int(np.argmax(v))
     return float(v[i]), float(r[i])
 

@@ -118,7 +118,7 @@ def test_convergence_against_analytic_vortex(lamb_oseen_runs):
     err_hi = lamb_oseen_runs[256]["err"]
     factor = err_lo / err_hi
     # absolute tolerance scaled by the analytic swirl peak at the final time
-    peak, _ = lamb_oseen_peak(1.0, 1.0, 1.0)
+    peak, _ = lamb_oseen_peak(1.0, 1.0)
     tol = 1e-3 * peak
     secs = [lamb_oseen_runs[n]["seconds"] for n in (128, 256)]
     ok = 3.5 <= factor <= 4.5 and err_hi <= tol and max(secs) <= 300.0

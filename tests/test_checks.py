@@ -1,6 +1,7 @@
 """Tests for the invariant/property suite and the zoom-covariance check."""
 import dataclasses
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,11 +80,11 @@ def test_max_principle_bound_violation_fails(grid16):
 
 
 def test_max_principle_lamb_oseen_closed_form():
-    # r vtheta = (Gamma / 2 pi)(1 - exp(-r^2 / 4 nu t)) is increasing in r and
-    # decreasing in t, with sup over the disk (Gamma/2 pi)(1 - exp(-R^2/4 nu t))
+    # r vtheta = (Gamma / 2 pi)(1 - exp(-r^2 / 4 t)) is increasing in r and
+    # decreasing in t, with sup over the disk (Gamma/2 pi)(1 - exp(-R^2/4 t))
     g = Grid(128, 8, 6.0, -0.5, 0.5)
     times = [0.5, 0.75, 1.0]
-    rep = check_max_principle([max_rvtheta(lamb_oseen_field(1.0, 1.0, t, g)) for t in times],
+    rep = check_max_principle([max_rvtheta(lamb_oseen_field(1.0, t, g)) for t in times],
                               n0=1.0 / (2 * np.pi))
     assert rep["pass"]
     expect = 1.0 / (2 * np.pi) * (1 - np.exp(-(6.0**2) / (4 * 0.5)))
@@ -190,11 +191,18 @@ def test_scaling_covariance_at_a_zoom_factor_that_is_no_power_of_two(grid32, bou
 
 
 def test_scaling_covariance_fails_when_the_zoomed_viscosity_is_off(grid32, monkeypatch):
+    # the zoomed run alone diffuses 1 % too fast: its implicit solves and its
+    # explicit viscous term take the viscous coefficient times 1.01
     hist = _ring_history(grid32)
     real = AxisymSolver
 
     def off(initial, cfg):
-        return real(initial, dataclasses.replace(cfg, mu=1.01 * cfg.mu))
+        zoom = real(initial, cfg)
+        viscous = zoom.helmholtz
+        zoom.helmholtz = SimpleNamespace(
+            solve=lambda rhs, c: viscous.solve(rhs, 1.01 * c),
+            laplacian=lambda u: AxisymField(u.grid, 1.01 * viscous.laplacian(u).v))
+        return zoom
 
     monkeypatch.setattr(axiswirl.checks, "AxisymSolver", off)
     rep = check_scaling_covariance(hist, SolverConfig(cfl=0.4))

@@ -405,26 +405,29 @@ def test_resumed_run_writes_the_uninterrupted_runs_bytes(tmp_path, boundary):
 def test_cfl_run_resumed_from_one_of_its_own_times_writes_its_bytes(tmp_path, boundary):
     # the step follows the decaying speed, so the stop is a sum of unequal
     # steps: the run to it must land on it with a full step, as the
-    # uninterrupted run does
-    solver = {"cfl": 0.2, "mu": 0.1, "snapshot_every": 2, "boundary": boundary}
-    whole = _simulate_ring(tmp_path, tmp_path / "whole", solver, 0.1, n0=30.0)
+    # uninterrupted run does.  The run is the image, under v -> v/mu at time
+    # mu t, of a viscosity mu = 0.1 run at n0 = 30 to t = 0.1, so the speed
+    # decays over many CFL steps
+    solver = {"cfl": 0.2, "snapshot_every": 2, "boundary": boundary}
+    whole = _simulate_ring(tmp_path, tmp_path / "whole", solver, 0.01, n0=300.0)
     t = [row.split(",")[DIAG_COLUMNS.index("t")]
          for row in whole["diagnostics.csv"].decode().splitlines()[1:]]
     assert len(t) > 12 and np.ptp(np.diff(np.array(t, float))) > 0.5 * float(t[1])
-    _simulate_ring(tmp_path, tmp_path / "resumed", solver, t[10], n0=30.0)
-    assert _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.1, n0=30.0,
+    _simulate_ring(tmp_path, tmp_path / "resumed", solver, t[10], n0=300.0)
+    assert _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.01, n0=300.0,
                           resume=True) == whole
 
 
-@pytest.mark.parametrize("edits, key", [
-    ({"nr: 16\n  nz: 16": "nr: 32\n  nz: 32", "dt: 5e-3": "dt: 5e-3\n  mu: 2.0"}, "grid.nr"),
-    ({"dt: 5e-3": "dt: 5e-3\n  mu: 2.0"}, "solver.mu"),
-    ({"dt: 5e-3": "dt: 5e-3\n  boundary: hold"}, "solver.boundary"),
+@pytest.mark.parametrize("edits, message", [
+    ({"nr: 16\n  nz: 16": "nr: 32\n  nz: 32"}, "cannot resume: grid.nr is "),
+    ({"dt: 5e-3": "dt: 5e-3\n  mu: 2.0"}, "solver.mu: the viscosity is 1"),
+    ({"dt: 5e-3": "dt: 5e-3\n  boundary: hold"}, "cannot resume: solver.boundary is "),
 ], ids=["grid", "mu", "boundary"])
 def test_a_resume_that_changes_the_run_is_a_config_error_that_keeps_it(tmp_path, capsys,
-                                                                       edits, key):
+                                                                       edits, message):
     # a later t_end may change; the first other key that differs from the run's
-    # config.yaml is named, and nothing of the run is touched
+    # config.yaml is named, and nothing of the run is touched.  A viscosity
+    # other than 1 is no run at all, so it is refused before the comparison
     out = tmp_path / "out"
     cfg = _small_ring_config(tmp_path, out)
     assert main(["simulate", "--config", cfg]) == 0
@@ -435,8 +438,28 @@ def test_a_resume_that_changes_the_run_is_a_config_error_that_keeps_it(tmp_path,
     capsys.readouterr()
     assert main(["simulate", "--config", _write(tmp_path / "more.yaml", text), "--resume"]) == 1
     err = capsys.readouterr().err
-    assert f"cannot resume: {key} is " in err and str(out / "config.yaml") in err
+    assert message in err
+    if message.startswith("cannot resume"):
+        assert str(out / "config.yaml") in err
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_a_run_stored_with_the_retired_viscosity_keys_resumes_to_its_bytes(tmp_path):
+    # a run directory written while the viscosity was a key stores
+    # solver.mu: 1.0 and data.nu: 1.0 in its config.yaml, in the sorted order
+    # of serialize_config; it resumes, under a config that still sets mu: 1.0,
+    # to the uninterrupted run's bytes
+    solver = {"dt": "5e-3", "snapshot_every": 5}
+    whole = _simulate_ring(tmp_path, tmp_path / "whole", solver, 0.1)
+    _simulate_ring(tmp_path, tmp_path / "resumed", solver, 0.05)
+    stored = tmp_path / "resumed" / "config.yaml"
+    text = stored.read_text(encoding="utf-8")
+    text = text.replace("  projection_tol:", "  mu: 1.0\n  projection_tol:")
+    text = text.replace("  ring_r:", "  nu: 1.0\n  ring_r:")
+    assert "  mu: 1.0\n" in text and "  nu: 1.0\n" in text
+    stored.write_text(text, encoding="utf-8")
+    assert _simulate_ring(tmp_path, tmp_path / "resumed", {**solver, "mu": 1.0}, 0.1,
+                          resume=True) == whole
 
 
 @pytest.mark.parametrize("stored", [None, "grid: [\n", "grid:\n  nr: 16\n  bogus: 1\n"],
@@ -597,8 +620,8 @@ def test_validate_passes_on_every_shipped_config(path, capsys):
         assert line.endswith("PASS"), line
 
 
-def test_validate_uses_solver_mu_for_scaling_covariance(tmp_path, monkeypatch):
-    # the suite takes the run's solver config, the one source of mu and
+def test_validate_uses_solver_projection_tol_for_scaling_covariance(tmp_path, monkeypatch):
+    # the suite takes the run's solver config, the one source of
     # projection_tol for the zoomed run and the divergence bound
     seen = []
     suite = axiswirl.cli.run_invariant_suite
@@ -609,21 +632,23 @@ def test_validate_uses_solver_mu_for_scaling_covariance(tmp_path, monkeypatch):
 
     monkeypatch.setattr(axiswirl.cli, "run_invariant_suite", spy)
     text = ("grid:\n  nr: 16\n  nz: 16\n  r_max: 4.0\n  z_min: -2.0\n  z_max: 2.0\n"
-            "solver:\n  mu: 0.5\n  t_end: 0.02\n  projection_tol: 1e-9\n"
+            "solver:\n  t_end: 0.02\n  projection_tol: 1e-9\n"
             f"output:\n  directory: {tmp_path / 'out'}\n")
     main(["validate", "--config", _write(tmp_path / "run.yaml", text)])
     assert seen == [parse_config(text).solver]
-    assert (seen[0].mu, seen[0].projection_tol) == (0.5, 1e-9)
+    assert seen[0].projection_tol == 1e-9
 
 
-def test_lamb_oseen_nu_must_equal_solver_mu(tmp_path, capsys):
+def test_a_viscosity_other_than_one_is_a_config_error(tmp_path, capsys):
     cfg = _write(
         tmp_path / "run.yaml",
         "solver:\n  mu: 1.0\n"
-        "data:\n  kind: lamb_oseen\n  nu: 0.5\n",
+        "data:\n  kind: lamb_oseen\n  nu: 0.5\n"
+        f"output:\n  directory: {tmp_path / 'out'}\n",
     )
     assert main(["simulate", "--config", cfg]) == 1
-    assert "data.nu" in capsys.readouterr().err
+    assert "data.nu: the viscosity is 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # every line validate prints: one report, its measured value, bound, margin,

@@ -1,4 +1,5 @@
 """Tests for strict YAML run-configuration parsing and overrides."""
+import re
 from pathlib import Path
 
 import pytest
@@ -41,7 +42,7 @@ def test_unknown_section_key_names_full_path():
 
 
 def test_invariants_mu_is_unknown_key():
-    # the viscosity has one home, solver.mu
+    # the viscosity is 1, as in the paper: no section sets it
     with pytest.raises(ConfigError, match="unknown key invariants.mu"):
         parse_config("invariants:\n  mu: 1.0\n")
 
@@ -60,17 +61,35 @@ def test_invariants_scaling_lambda_is_unknown_key():
             parse_config(f"invariants:\n  {key}: 3.0\n")
 
 
-def test_lamb_oseen_nu_must_equal_solver_mu():
-    parse_config("solver:\n  mu: 0.5\ndata:\n  kind: lamb_oseen\n  nu: 0.5\n")
-    with pytest.raises(ConfigError, match="data.nu"):
-        parse_config("solver:\n  mu: 0.5\ndata:\n  kind: lamb_oseen\n")
-    # other data kinds have no viscosity of their own
-    parse_config("solver:\n  mu: 0.5\ndata:\n  kind: stream_random\n")
+@pytest.mark.parametrize("text, key", [
+    ("solver:\n  mu: 0.5\n", "solver.mu"),
+    ("data:\n  kind: lamb_oseen\n  nu: 2\n", "data.nu"),
+    ("solver:\n  mu: 1.0\ndata:\n  nu: 1.01\n", "data.nu"),
+    ("sweep:\n  solver.mu: [1.0, 0.5]\n", "sweep.solver.mu = 0.5: solver.mu"),
+], ids=["solver.mu", "data.nu", "one_of_two", "sweep"])
+def test_a_retired_viscosity_key_other_than_one_is_rejected(text, key):
+    # solver.mu and data.nu are read only at 1, the paper's viscosity
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: the viscosity is 1"):
+        parse_config(text)
+
+
+def test_a_retired_viscosity_key_at_one_is_dropped():
+    # a config, or a run's config.yaml, written while the viscosity was a key
+    plain = parse_config("data:\n  kind: lamb_oseen\n")
+    assert parse_config("solver:\n  cfl: 0.4\n  mu: 1\n"
+                        "data:\n  kind: lamb_oseen\n  nu: 1.0\n") == plain
+    assert "mu:" not in serialize_config(plain) and "nu:" not in serialize_config(plain)
+    assert apply_override(plain, "solver.mu", 1) == plain
+    assert apply_override(plain, "data.nu", 1.0) == plain
+    with pytest.raises(ConfigError, match="^data.nu: the viscosity is 1"):
+        apply_override(plain, "data.nu", 0.5)
+    with pytest.raises(ConfigError, match="solver.mu: expected a finite number"):
+        parse_config("solver:\n  mu: one\n")
 
 
 def test_invalid_value_names_section_path():
     with pytest.raises(ConfigError, match="solver"):
-        parse_config("solver:\n  mu: -1.0\n")
+        parse_config("solver:\n  cfl: -1.0\n")
 
 
 def test_type_mismatch_rejected():
@@ -118,8 +137,8 @@ def test_solver_dt_and_cfl_are_exclusive():
 def test_round_trip_law():
     text = (
         "grid:\n  nr: 48\n  r_max: 6.0\n"
-        "solver:\n  cfl: 0.3\n  mu: 0.5\n"
-        "data:\n  kind: lamb_oseen\n  nu: 0.5\n  t_offset: 0.25\n"
+        "solver:\n  cfl: 0.3\n  projection_tol: 1e-9\n"
+        "data:\n  kind: lamb_oseen\n  circulation: 0.5\n  t_offset: 0.25\n"
     )
     cfg = parse_config(text)
     again = parse_config(serialize_config(cfg))
@@ -147,6 +166,8 @@ def test_libyaml_loads_and_dumps_what_pure_python_does(path, monkeypatch):
     monkeypatch.delattr(yaml, "CSafeDumper", raising=False)
     assert parse_config(text) == cfg
     assert serialize_config(cfg) == dumped
+    # the retired viscosity keys, where a file still sets them, change nothing
+    assert parse_config(re.sub(r"(?m)^  (mu|nu): .*\n", "", text)) == cfg
 
 
 def test_sweep_validation():
@@ -165,8 +186,8 @@ def test_apply_override():
     out = apply_override(cfg, "data.seed", 7)
     assert out.data.seed == 7
     assert cfg.data.seed == 0  # original untouched
-    out2 = apply_override(cfg, "solver.mu", 2)
-    assert out2.solver.mu == 2.0 and isinstance(out2.solver.mu, float)
+    out2 = apply_override(cfg, "data.circulation", 2)
+    assert out2.data.circulation == 2.0 and isinstance(out2.data.circulation, float)
 
 
 def test_apply_override_rejects_bad_paths():

@@ -34,20 +34,22 @@ def test_dataspec_rejects_unknown_kind():
 def test_lamb_oseen_profile_taylor_limit(seed):
     rng = np.random.default_rng(seed)
     gamma = rng.uniform(0.5, 2.0)
-    nu = rng.uniform(0.5, 2.0)
-    t = rng.uniform(0.2, 1.0)
+    # the profile depends on the viscosity only through nu t: a random nu in
+    # [0.5, 2] at t in [0.2, 1] is a unit-viscosity t in [0.1, 2]
+    t = rng.uniform(0.5, 2.0) * rng.uniform(0.2, 1.0)
     r = np.array([0.0, 1e-12, 1e-9])
-    v = lamb_oseen_profile(r, gamma, nu, t)
-    # small-r expansion: v = Gamma r / (8 pi nu t)
-    expect = gamma * r / (8 * np.pi * nu * t)
+    v = lamb_oseen_profile(r, gamma, t)
+    # small-r expansion: v = Gamma r / (8 pi t)
+    expect = gamma * r / (8 * np.pi * t)
     assert np.allclose(v, expect, rtol=1e-6, atol=0.0)
     assert v[0] == 0.0
 
 
 def test_lamb_oseen_profile_far_field_circulation():
-    gamma, nu, t = 1.3, 0.7, 0.4
+    # nu = 0.7 at t = 0.4: the profile reads only nu t
+    gamma, t = 1.3, 0.7 * 0.4
     r = np.array([30.0, 50.0])
-    v = lamb_oseen_profile(r, gamma, nu, t)
+    v = lamb_oseen_profile(r, gamma, t)
     # far from the core the flow carries the full circulation: r v -> Gamma/(2 pi)
     assert np.allclose(r * v, gamma / (2 * np.pi), rtol=1e-10)
 
@@ -55,7 +57,7 @@ def test_lamb_oseen_profile_far_field_circulation():
 def test_lamb_oseen_profile_continuous_at_switch():
     # compare the slope v/r across the Taylor-branch switch at r = 1e-8
     r = np.array([0.99e-8, 1.01e-8])
-    v = lamb_oseen_profile(r, 1.0, 1.0, 0.5)
+    v = lamb_oseen_profile(r, 1.0, 0.5)
     slope = v / r
     assert abs(slope[0] - slope[1]) < 1e-9 * slope[1]
 
@@ -68,17 +70,17 @@ def test_lamb_oseen_field_rejects_nonpositive_time():
 
 def test_lamb_oseen_field_is_pure_swirl_and_z_independent():
     g = Grid(24, 24, 4.0, -2.0, 2.0)
-    fld = lamb_oseen_field(1.0, 1.0, 0.5, g)
+    fld = lamb_oseen_field(1.0, 0.5, g)
     assert np.all(fld.vr == 0.0)
     assert np.all(fld.vz == 0.0)
     assert np.all(fld.vtheta == fld.vtheta[:, :1])
 
 
 def test_lamb_oseen_peak_matches_bruteforce_scan():
-    gamma, nu, t = 1.0, 1.0, 0.5
-    peak, r_peak = lamb_oseen_peak(gamma, nu, t)
+    gamma, t = 1.0, 0.5
+    peak, r_peak = lamb_oseen_peak(gamma, t)
     # independent oracle: the maximiser of (1-exp(-x^2))/x solves
-    # (1 + 2 x^2) exp(-x^2) = 1 with x = r / sqrt(4 nu t); bisection
+    # (1 + 2 x^2) exp(-x^2) = 1 with x = r / sqrt(4 t); bisection
     lo, hi = 1.0, 2.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -87,9 +89,9 @@ def test_lamb_oseen_peak_matches_bruteforce_scan():
         else:
             hi = mid
     x = 0.5 * (lo + hi)
-    r_star = x * np.sqrt(4 * nu * t)
+    r_star = x * np.sqrt(4 * t)
     assert abs(r_peak - r_star) < 1e-3
-    assert abs(peak - lamb_oseen_profile(np.array([r_star]), gamma, nu, t)[0]) < 1e-8
+    assert abs(peak - lamb_oseen_profile(np.array([r_star]), gamma, t)[0]) < 1e-8
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -66,7 +66,7 @@ def test_solver_config_needs_exactly_one_timestep_rule():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"cfl": 0.4, "mu": -1.0},
+    {"dt": -1e-3},
     {"cfl": 0.4, "projection_tol": 1e-3},
     {"cfl": 0.4, "projection_tol": 0.0},
     {"cfl": 0.4, "boundary": "periodic"},
@@ -313,17 +313,15 @@ def test_momentum_rhs_rigid_rotation(grid16):
 def test_momentum_rhs_lamb_oseen_heat_operator():
     # with vr = vz = 0 the swirl tendency reduces to the analytic time
     # derivative of the diffusing-vortex profile; second-order convergent
-    circ, nu, t = 1.0, 1.0, 0.5
+    circ, t = 1.0, 0.5
     errs = []
     for n in (64, 128):
         g = Grid(n, n, 6.0, -1.0, 1.0)
-        fld = lamb_oseen_field(circ, nu, t, g)
-        swirl = momentum_rhs(fld).vtheta + nu * HelmholtzSolver(g, False).laplacian(fld).vtheta
+        fld = lamb_oseen_field(circ, t, g)
+        swirl = momentum_rhs(fld).vtheta + HelmholtzSolver(g, False).laplacian(fld).vtheta
         r = g.r[1:-1]
-        # d/dt of (circ/2 pi r)(1 - e^{-r^2/4 nu t})
-        exact = -circ / (2 * np.pi * r) * np.exp(-(r**2) / (4 * nu * t)) * (
-            r**2 / (4 * nu * t**2)
-        )
+        # d/dt of (circ/2 pi r)(1 - e^{-r^2/4 t})
+        exact = -circ / (2 * np.pi * r) * np.exp(-(r**2) / (4 * t)) * (r**2 / (4 * t**2))
         # measured away from the axis: the (1/r) d_r stencil is only
         # first-order consistent at the very first node off the axis
         keep = r >= 0.5
@@ -719,7 +717,7 @@ def test_solve_applies_no_laplacian_and_a_step_one(boundary, monkeypatch):
     monkeypatch.setattr(HelmholtzSolver, "laplacian",
                         lambda self, fld: calls.append(1) or laplacian(self, fld))
     g = Grid(*HELMHOLTZ_GRID)
-    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
+    solver = AxisymSolver(lamb_oseen_field(1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary=boundary))
     state = solver.state
     solver.helmholtz.solve(solver._apply_bcs(state), 0.01)
@@ -734,7 +732,7 @@ def test_changing_dt_rebuilds_no_eigenvectors(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal",
                         lambda d, e, **kw: calls.append(len(d)) or eigh(d, e, **kw))
     g = Grid(*HELMHOLTZ_GRID)
-    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
+    solver = AxisymSolver(lamb_oseen_field(1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary="hold"))
     # swirl-like and plain radial; the axial bases are in closed form
     assert sorted(calls) == [23, 24]
@@ -771,7 +769,7 @@ def test_set_up_decomposes_no_dense_matrix_beyond_the_radial_pencil(monkeypatch)
     monkeypatch.setattr(scipy.linalg, "eigh", lambda a, *args, **kw:
                         sizes.append(len(a)) or sc_eigh(a, *args, **kw))
     g = Grid(*HELMHOLTZ_GRID)
-    AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g), SolverConfig(cfl=0.4, boundary="hold"))
+    AxisymSolver(lamb_oseen_field(1.0, 0.5, g), SolverConfig(cfl=0.4, boundary="hold"))
     radial, *axial = sorted(sizes, reverse=True)
     assert radial == g.nr + 1
     assert axial and max(axial) <= g.nz // 2 + 1
@@ -784,7 +782,7 @@ def test_set_up_and_a_step_construct_no_scipy_sparse_object(monkeypatch):
     monkeypatch.setattr(sp._base._spbase, "__init__", lambda self, *args, **kw:
                         made.append(type(self).__name__) or init(self, *args, **kw))
     g = Grid(*HELMHOLTZ_GRID)
-    solver = AxisymSolver(lamb_oseen_field(1.0, 1.0, 0.5, g),
+    solver = AxisymSolver(lamb_oseen_field(1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary="hold"))
     solver.step()
     solver.record_diagnostics()
@@ -875,7 +873,7 @@ def test_step_energy_decays():
     w = volume_weights(g)
     drop = 0.0
     for t, sign in ((0.5, 1.0), (0.5 + solver.t, -1.0)):
-        prof = lamb_oseen_profile(g.r, 1.0, 1.0, t)
+        prof = lamb_oseen_profile(g.r, 1.0, t)
         drop += sign * float(2 * np.pi * 0.5 * np.sum(w * prof[:, None] ** 2))
     assert (e0 - e1) == pytest.approx(drop, rel=5e-2)
 
@@ -941,8 +939,8 @@ class _Kept(list):
 
 
 def mms_residual(snaps: list, window: tuple[float, float] | None = None,
-                 mu: float = 1.0, margin: int = 2) -> dict[str, dict[str, float]]:
-    """Oracle: per-equation residual norms of the momentum system on the
+                 margin: int = 2) -> dict[str, dict[str, float]]:
+    """Oracle: per-equation residual norms of the unit-viscosity momentum system on the
     time-ordered (t, field, pressure) triples ``snaps``.
 
     Time derivatives are centered over consecutive snapshots; spatial terms are
@@ -981,9 +979,9 @@ def mms_residual(snaps: list, window: tuple[float, float] | None = None,
         with np.errstate(divide="ignore", invalid="ignore"):
             res = {
                 "vr": dt_of("vr") + adv(vr) - vt**2 / r + _centered(p, 0, dr)
-                      - mu * (lap(vr) - vr / r**2),
-                "vtheta": dt_of("vtheta") + adv(vt) + vr * vt / r - mu * (lap(vt) - vt / r**2),
-                "vz": dt_of("vz") + adv(vz) + _centered(p, 1, dz) - mu * lap(vz),
+                      - (lap(vr) - vr / r**2),
+                "vtheta": dt_of("vtheta") + adv(vt) + vr * vt / r - (lap(vt) - vt / r**2),
+                "vz": dt_of("vz") + adv(vz) + _centered(p, 1, dz) - lap(vz),
                 "div": _centered(vr, 0, dr) + vr / r + _centered(vz, 1, dz),
             }
         wi = w[sl]
@@ -999,8 +997,8 @@ def mms_residual(snaps: list, window: tuple[float, float] | None = None,
     }
 
 
-def _analytic_history(grid, times, circ=1.0, nu=1.0):
-    return [(t, lamb_oseen_field(circ, nu, t, grid), np.zeros(grid.shape)) for t in times]
+def _analytic_history(grid, times, circ=1.0):
+    return [(t, lamb_oseen_field(circ, t, grid), np.zeros(grid.shape)) for t in times]
 
 
 def test_mms_residual_needs_three_snapshots(grid16):

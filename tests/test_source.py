@@ -1,5 +1,5 @@
 """Source hygiene: production code that only tests use is deleted, no type shadows another,
-and the velocity's component layout has one home."""
+the velocity's component layout has one home, and no parameter sets the viscosity."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -68,3 +68,22 @@ def test_solver_takes_only_the_product_kernel_from_scipy_sparse():
              if _uses_scipy_sparse(node)]
     assert not found, ("solver.py uses scipy.sparse beyond csc_matvecs and csr_matvecs: "
                        + ", ".join(found))
+
+
+def _declared(node: ast.AST) -> str | None:
+    """The name that ``node`` declares, if it is a function parameter or an
+    annotated (dataclass) field."""
+    if isinstance(node, ast.arg):
+        return node.arg
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return node.target.id
+    return None
+
+
+def test_no_viscosity_parameter_in_src():
+    # the viscosity is 1, as in the paper: no field or parameter can set it
+    found = [f"{path.name}:{node.lineno} {_declared(node)}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if _declared(node) in ("mu", "nu")]
+    assert not found, "viscosity parameters in src: " + ", ".join(found)
