@@ -1,4 +1,5 @@
 """Shared fixtures: small grids, canned fields and run outputs used across the suite."""
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,3 +43,19 @@ def run_outputs(directory):
     directory = Path(directory)
     paths = [directory / "diagnostics.csv", *sorted(directory.glob("snap_*.bin"))]
     return {p.name: p.read_bytes() for p in paths}
+
+
+def peak_above_entry(fn) -> int:
+    """The tracemalloc peak, in bytes, of the call ``fn()`` above the memory traced
+    at its entry: the most that the call holds at once.  numpy reports its data
+    buffers to tracemalloc, so a deterministic call gives the same count every time."""
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()

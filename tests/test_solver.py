@@ -23,6 +23,7 @@ from axiswirl.fields import (
 )
 from axiswirl.initial import DataSpec, generate, lamb_oseen_field, lamb_oseen_profile
 from axiswirl.solver import (
+    DELTA,
     GAMMA,
     AxisymSolver,
     Csr,
@@ -45,7 +46,7 @@ from axiswirl.solver import (
     volume_weights,
 )
 
-from conftest import rigid_rotation
+from conftest import peak_above_entry, rigid_rotation
 
 
 def interior(arr, m=2):
@@ -499,15 +500,15 @@ def test_projection_raises_poisson_error_after_one_application_of_the_inverse(mo
 
 def test_projection_keeps_no_state_between_calls():
     # an operator that has projected another field returns the same bits for
-    # one field as a fresh operator
+    # one field as a fresh operator (each projects its own copy in place)
     g = Grid(64, 64, 4.0, -4.0, 4.0)
     fld = _walled_ring(g)
     fresh, used = ProjectionOperator(g), ProjectionOperator(g)
     other = fld.copy()
     other.vr *= 2.0
     used.project(other, dt=1e-3)
-    u_fresh, p_fresh = fresh.project(fld, dt=1e-3)
-    u_used, p_used = used.project(fld, dt=1e-3)
+    u_fresh, p_fresh = fresh.project(fld.copy(), dt=1e-3)
+    u_used, p_used = used.project(fld.copy(), dt=1e-3)
     for name in ("vr", "vtheta", "vz"):
         np.testing.assert_array_equal(getattr(u_used, name), getattr(u_fresh, name))
     np.testing.assert_array_equal(p_used, p_fresh)
@@ -591,7 +592,7 @@ def test_projection_diagnostics_and_check_read_one_divergence(monkeypatch, ring_
     real = axiswirl.solver.divergence
     monkeypatch.setattr(axiswirl.solver, "divergence",
                         lambda D, fld: seen.append(real(D, fld)) or seen[-1])
-    solver.projection.project(solver.state, 1e-3)
+    solver.projection.project(solver.state.copy(), 1e-3)  # it projects in place
     record = solver.record_diagnostics()
     from_project, from_diagnostics = seen
     np.testing.assert_array_equal(from_project, from_diagnostics)
@@ -605,7 +606,7 @@ def test_projection_diagnostics_and_check_read_one_divergence(monkeypatch, ring_
 
 def test_project_swirl_only_unchanged(grid16):
     fld = rigid_rotation(grid16)
-    out, p = ProjectionOperator(grid16).project(fld, dt=1e-3)
+    out, p = ProjectionOperator(grid16).project(fld.copy(), dt=1e-3)
     np.testing.assert_allclose(out.vr, fld.vr, atol=1e-14)
     np.testing.assert_allclose(out.vz, fld.vz, atol=1e-14)
     np.testing.assert_allclose(out.vtheta, fld.vtheta)
@@ -630,9 +631,38 @@ def test_project_divergence_free_fixed_point(grid32, ring_field):
     fld = ring_field.copy()
     op = ProjectionOperator(grid32)
     once, _ = op.project(fld, dt=1e-3)
-    twice, p2 = op.project(once, dt=1e-3)
+    twice, p2 = op.project(once.copy(), dt=1e-3)
     np.testing.assert_allclose(twice.vr, once.vr, atol=1e-10)
     np.testing.assert_allclose(twice.vz, once.vz, atol=1e-10)
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_project_and_solve_work_in_place_and_a_solver_keeps_its_data(grid32, boundary):
+    # project and solve return the field they are handed, changed in place; the
+    # constructor works on a copy of its data, and a step leaves its state alone
+    op = ProjectionOperator(grid32)
+    fld = _walled_ring(grid32)
+    out, p = op.project(fld, dt=1e-3)
+    assert out is fld and np.any(p != 0.0)
+    # swirl with -0.0 meridional entries has zero divergence: the same bits, zero pressure
+    swirl = rigid_rotation(grid32)
+    swirl.v[::2, ::3] = -0.0
+    bits = swirl.v.tobytes()
+    out, p = op.project(swirl, dt=1e-3)
+    assert out is swirl and out.v.tobytes() == bits
+    assert p.tobytes() == np.zeros(grid32.shape).tobytes()
+    rhs = _with_boundary_values(grid32, np.random.default_rng(3), fld, boundary == "hold")
+    assert HelmholtzSolver(grid32, boundary == "hold").solve(rhs, 0.01) is rhs
+
+    initial = _walled_ring(grid32)
+    initial.vr[0] = 1.0  # a value the boundary conditions reset
+    bits = initial.v.tobytes()
+    solver = AxisymSolver(initial, SolverConfig(cfl=0.4, boundary=boundary))
+    assert initial.v.tobytes() == bits and solver.state is not initial
+    left = solver.state
+    bits = left.v.tobytes()
+    solver.step()
+    assert solver.state is not left and left.v.tobytes() == bits
 
 
 # ---------------------------------------------------------------------------
@@ -695,7 +725,7 @@ def test_helmholtz_solve_residual(neumann_swirl):
     bounded = _with_boundary_values(g, rng, rhs, neumann_swirl)
     c = GAMMA * stable_dt(g, cfl=0.4, qmax=1.0)
     helmholtz = HelmholtzSolver(g, neumann_swirl)
-    u = helmholtz.solve(bounded, c)
+    u = helmholtz.solve(bounded.copy(), c)  # it solves in place
     if neumann_swirl:
         u.vtheta[:, 0] = u.vtheta[:, 1]
         u.vtheta[:, -1] = u.vtheta[:, -2]
@@ -719,8 +749,7 @@ def test_solve_applies_no_laplacian_and_a_step_one(boundary, monkeypatch):
     g = Grid(*HELMHOLTZ_GRID)
     solver = AxisymSolver(lamb_oseen_field(1.0, 0.5, g),
                           SolverConfig(cfl=0.4, boundary=boundary))
-    state = solver.state
-    solver.helmholtz.solve(solver._apply_bcs(state), 0.01)
+    solver.helmholtz.solve(solver._apply_bcs(solver.state.copy()), 0.01)
     assert calls == []
     solver.step()
     assert calls == [1]
@@ -916,6 +945,131 @@ def test_constructor_keeps_a_stepped_state_bit_for_bit(n, boundary):
     again = AxisymSolver(solver.state, cfg)
     for name in ("vr", "vtheta", "vz"):
         assert getattr(again.state, name).tobytes() == getattr(solver.state, name).tobytes(), name
+
+
+def _out_of_place_momentum_rhs(state):
+    """Oracle: momentum_rhs as it was before it wrote into its output, each
+    component a sum of fresh arrays."""
+    g = state.grid
+    rinv = np.r_[0.0, 1.0 / g.r[1:]][:, None]
+    split = upwind_split(state)
+    out = AxisymField(g, np.empty((3, *g.shape)))
+    out.vr = -advect(state, state.vr, -1, split) + state.vtheta**2 * rinv
+    out.vtheta = -advect(state, state.vtheta, -1, split) - state.vr * state.vtheta * rinv
+    out.vz = -advect(state, state.vz, 1, split)
+    return out
+
+
+def _out_of_place_solve(helmholtz, bounded, c):
+    """Oracle: HelmholtzSolver.solve as it was, into a copy of ``bounded``."""
+    out = bounded.copy()
+    for x, u, (_, lo, (vr_, wr, lr), (vz_, lz), up_r, end_z) in zip(
+            bounded.v, out.v, helmholtz._ops):
+        unk = (slice(lo, -1), slice(1, -1))
+        b = x[unk].copy()
+        b[-1] += c * up_r * x[-1, 1:-1]
+        b[:, [0, -1]] += c * end_z * x[unk[0], [0, -1]]
+        y = (vr_.T @ (wr[:, None] * b) @ vz_) / (1.0 - c * (lr[:, None] + lz))
+        u[unk] = vr_ @ y @ vz_.T
+    return out
+
+
+def _out_of_place_project(op, u_star, dt):
+    """Oracle: ProjectionOperator.project as it was, into a copy of ``u_star``."""
+    div = divergence(op.D, u_star)
+    if float(np.linalg.norm(div)) < op.tol:
+        return u_star.copy(), np.zeros(op.grid.shape)
+    s = op._inverse(div / dt)
+    grad = np.divide(gradient(op.D, s), op._w, out=np.zeros(op._free.shape), where=op._free)
+    out = u_star.copy()
+    out.v[::2] -= dt * grad
+    return out, -s / op._w
+
+
+def _out_of_place_step(solver, dt, seen):
+    """Oracle: the step as it was before it worked in place, each right-hand side
+    the sum (0 + 1.0 u) + a e0 + ... of fresh arrays and each stage on copies;
+    the bytes of each right-hand side handed to the solve go to ``seen``."""
+    def combine(*terms):
+        return AxisymField(solver.grid, sum(a * f.v for a, f in terms))
+
+    def stage(rhs, increment):
+        bounded = solver._apply_bcs(rhs.copy())
+        seen.append(bounded.v.tobytes())
+        u = _out_of_place_solve(solver.helmholtz, bounded, GAMMA * dt)
+        return _out_of_place_project(solver.projection, solver._apply_bcs(u.copy()), increment)
+
+    u = solver.state
+    e0 = _out_of_place_momentum_rhs(u)
+    u1, _ = stage(combine((1.0, u), (GAMMA * dt, e0)), GAMMA * dt)
+    e1 = _out_of_place_momentum_rhs(u1)
+    u2, p = stage(combine((1.0, u), (DELTA * dt, e0), ((1.0 - DELTA) * dt, e1),
+                          ((1.0 - GAMMA) * dt, solver.helmholtz.laplacian(u1))), dt)
+    solver.state, solver.pressure, solver.t = u2, p, solver.t + dt
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_step_equals_the_out_of_place_step_bit_for_bit(boundary, monkeypatch):
+    # spacings that are not powers of two, so that a reordered sum or a
+    # coefficient applied after an add shows in the last bit; exact zeros and
+    # -0.0 in the swirl, which the projection leaves alone, so that a right-hand
+    # side that drops the leading 0 + keeps a -0.0 the sum turns into +0.0
+    g = Grid(*HELMHOLTZ_GRID)
+    data = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
+    data.vtheta[:, 12:26] = 0.0
+    data.vtheta[::2, 12:26:3] = -0.0
+    data.vr[data.vr < 1e-3] = 0.0
+    cfg = SolverConfig(cfl=0.4, boundary=boundary)
+    solver, oracle = AxisymSolver(data, cfg), AxisymSolver(data, cfg)
+    inner = solver.state.vtheta[1:-1, 1:-1]
+    assert np.signbit(inner[inner == 0.0]).any()  # the -0.0 entries reach the state
+    seen, want = [], []
+    solve = solver.helmholtz.solve
+    monkeypatch.setattr(solver.helmholtz, "solve",
+                        lambda rhs, c: seen.append(rhs.v.tobytes()) or solve(rhs, c))
+    for _ in range(3):
+        dt = solver.current_dt()
+        solver.step(dt)
+        _out_of_place_step(oracle, dt, want)
+        assert seen == want
+        assert solver.state.v.tobytes() == oracle.state.v.tobytes()
+        assert solver.pressure.tobytes() == oracle.pressure.tobytes()
+        assert solver.t == oracle.t
+
+
+@pytest.mark.parametrize("boundary", ["dirichlet0", "hold"])
+def test_a_step_holds_at_most_six_fields_above_its_state(boundary):
+    # a right-hand side, the stage-1 solution, one tendency and its upwind
+    # scratch: 5.85 fields; the out-of-place step held 9.34 here
+    g = Grid(128, 128, 4.0, -4.0, 4.0)
+    solver = AxisymSolver(generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g),
+                          SolverConfig(cfl=0.4, boundary=boundary))
+    solver.step()
+    dt = solver.current_dt()
+    field = 3 * (g.nr + 1) * (g.nz + 1) * 8
+    assert peak_above_entry(lambda: solver.step(dt)) <= 6 * field
+
+
+def test_run_measures_the_speed_once_per_step(monkeypatch):
+    # the next dt takes the q of the record just made, which is the one
+    # current_dt would measure: the same records and states bit for bit
+    g = Grid(*HELMHOLTZ_GRID)
+    data = generate(DataSpec(kind="vortex_ring_swirl", n0=1.0), g)
+    cfg, t_end = SolverConfig(cfl=0.4), 0.3
+    twice, want = AxisymSolver(data, cfg), []
+    while twice.t < t_end - 1e-14:
+        dt = twice.current_dt()
+        twice.step(dt if t_end - twice.t >= (1.0 - 1e-9) * dt else t_end - twice.t)
+        want.append(twice.record_diagnostics())
+    calls = []
+    speed = AxisymField.speed
+    monkeypatch.setattr(AxisymField, "speed", lambda self: calls.append(1) or speed(self))
+    once, rows = AxisymSolver(data, cfg), []
+    once.run(t_end, on_diagnostics=rows.append)
+    assert len(rows) == len(want) >= 5
+    assert len(calls) == len(rows) + 1  # and one for the first dt
+    assert rows == want
+    assert once.state.v.tobytes() == twice.state.v.tobytes()
 
 
 # ---------------------------------------------------------------------------
